@@ -148,13 +148,30 @@ class CellTimes {
   double wall(std::size_t cell) const { return estimate(wall_.at(cell)); }
   double total_wall() const;
   double total_cpu() const;
+  /// The same totals with the k-th sample of every cell (the k-th batch)
+  /// multiplied by scale[k].
+  double total_wall(const std::vector<double>& scale) const;
+  double total_cpu(const std::vector<double>& scale) const;
 
   /// The estimator every reported time uses, applied per cell: the median.
   static double estimate(std::vector<double> samples);
 
  private:
+  static double total(const std::vector<std::vector<double>>& cells,
+                      const std::vector<double>* scale);
+
   std::vector<std::vector<double>> wall_, cpu_;
 };
+
+/// Host-speed probe: a fixed allocation- and pointer-heavy loop (an ordered
+/// map and a heap with a working set of about 1.5 MB) shaped like the
+/// simulator's own memory traffic but sharing none of its code. Its time
+/// follows the shared host's cache and memory contention the way the
+/// workloads' times do; see README.md, "Host noise".
+double probe_seconds();
+
+/// The probe time the reported end-to-end seconds are scaled to.
+inline constexpr double kProbeRefS = 0.020;
 
 /// Per-layer metrics of a traced run, plus the reason for every metric the
 /// run could not measure.

@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <map>
 #include <new>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -90,16 +92,48 @@ void CellTimes::record(std::size_t cell, double wall_s, double cpu_s) {
   cpu_[cell].push_back(cpu_s);
 }
 
-double CellTimes::total_wall() const {
-  double s = 0;
-  for (const auto& v : wall_) s += estimate(v);
-  return s;
+double CellTimes::total(const std::vector<std::vector<double>>& cells,
+                        const std::vector<double>* scale) {
+  double sum = 0;
+  for (std::vector<double> v : cells) {
+    for (std::size_t k = 0; scale != nullptr && k < v.size(); ++k)
+      v[k] *= scale->at(k);
+    sum += estimate(std::move(v));
+  }
+  return sum;
 }
 
-double CellTimes::total_cpu() const {
-  double s = 0;
-  for (const auto& v : cpu_) s += estimate(v);
-  return s;
+double CellTimes::total_wall() const { return total(wall_, nullptr); }
+double CellTimes::total_cpu() const { return total(cpu_, nullptr); }
+double CellTimes::total_wall(const std::vector<double>& scale) const {
+  return total(wall_, &scale);
+}
+double CellTimes::total_cpu(const std::vector<double>& scale) const {
+  return total(cpu_, &scale);
+}
+
+double probe_seconds() {
+  const std::int64_t t0 = now_ns();
+  std::map<std::int64_t, std::int64_t> m;
+  std::priority_queue<std::int64_t, std::vector<std::int64_t>,
+                      std::greater<>>
+      heap;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  std::int64_t acc = 0;
+  for (int i = 0; i < 60'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    m[static_cast<std::int64_t>(x % 200'000)] = i;
+    heap.push(static_cast<std::int64_t>(x >> 20));
+    if (m.size() > 30'000) m.erase(m.begin());
+    if (heap.size() > 20'000) {
+      acc += heap.top();
+      heap.pop();
+    }
+  }
+  keep(static_cast<double>(acc) + static_cast<double>(m.size()));
+  return static_cast<double>(now_ns() - t0) * 1e-9;
 }
 
 double CellTimes::estimate(std::vector<double> samples) {
@@ -282,7 +316,9 @@ int main(int argc, char** argv) {
     w->setup();
   }
   if (setup_only) {
-    std::printf("ready %lld\n", static_cast<long long>(lgbench::now_ns()));
+    const std::int64_t ready = lgbench::now_ns();
+    std::printf("ready %lld %.9g\n", static_cast<long long>(ready),
+                lgbench::probe_seconds());
     return 0;
   }
 
@@ -306,17 +342,24 @@ int main(int argc, char** argv) {
 
   // Timed phase. Untraced batches give the end-to-end metrics; a traced run
   // alternates them with batches under an installed obs::TraceSink.
-  std::vector<double> wall, traced_wall;
+  // Each untraced batch sits between two host-speed probes; their mean
+  // scales that batch's cell times to reference seconds.
+  std::vector<double> wall, traced_wall, probe, scale;
   const std::int64_t t_end =
       lgbench::now_ns() + static_cast<std::int64_t>(seconds * 1e9);
+  double probe_before = lgbench::probe_seconds();
   do {
     const std::int64_t t0 = lgbench::now_ns();
     w->run_batch(trace ? &tr : nullptr, false);
     wall.push_back(static_cast<double>(lgbench::now_ns() - t0) * 1e-9);
+    const double probe_after = lgbench::probe_seconds();
+    probe.push_back(0.5 * (probe_before + probe_after));
+    scale.push_back(lgbench::kProbeRefS / probe.back());
+    probe_before = probe_after;
     check(w->check_batch());
     if (trace) {
       // Inner spans stay with the untraced batches, so per-layer times are
-      // never mixed with probe overhead.
+      // never mixed with the cost of the obs trace points.
       const std::int64_t t1 = lgbench::now_ns();
       w->run_batch(nullptr, true);
       traced_wall.push_back(static_cast<double>(lgbench::now_ns() - t1) * 1e-9);
@@ -327,8 +370,10 @@ int main(int argc, char** argv) {
   // One batch's seconds: each cell's median over the timed batches, summed,
   // which leaves out the checks between cells and uses every cell run as a
   // sample.
-  const double wall_s = w->times().total_wall();
-  const double cpu_s = w->times().total_cpu();
+  const double raw_wall_s = w->times().total_wall();
+  const double raw_cpu_s = w->times().total_cpu();
+  const double wall_s = w->times().total_wall(scale);
+  const double cpu_s = w->times().total_cpu(scale);
 
   std::string metrics;
   std::string notes;
@@ -339,7 +384,6 @@ int main(int argc, char** argv) {
   if (!trace) {
     metric("wall_s", wall_s, "s");
     metric("cpu_s", cpu_s, "s");
-    metric("peak_rss_mb", peak_rss_kib() / 1024.0, "MB");
   } else {
     LayerReport rep;
     w->layers(tr, rep);
@@ -395,13 +439,18 @@ int main(int argc, char** argv) {
   std::printf(
       "{\"workload\": \"%s\", \"seed\": %llu, \"workers\": 1, "
       "\"batch_wall_s\": [%s], \"cell_wall_s\": [%s], \"rate_name\": \"%s\", \"ops_per_batch\": %s, "
-      "\"cpu_over_wall\": %s, \"ops_per_s\": %s, \"config_hash\": \"%s\", "
+      "\"cpu_over_wall\": %s, \"ops_per_s\": %s, \"peak_rss_mb\": %s, "
+      "\"raw_wall_s\": %s, \"raw_cpu_s\": %s, \"probe_s\": %s, "
+      "\"config_hash\": \"%s\", "
       "\"compiler\": \"%s\", \"build_type\": \"%s\", \"flags\": \"%s\", "
       "\"metrics\": {%s}, "
       "\"unmeasured\": {%s}, \"cells\": [%s]}\n",
       workload.c_str(), static_cast<unsigned long long>(seed), walls.c_str(), cell_walls.c_str(),
       w->rate_name(), num(w->ops_per_batch()).c_str(),
-      num(cpu_s / wall_s).c_str(), num(w->ops_per_batch() / wall_s).c_str(),
+      num(raw_cpu_s / raw_wall_s).c_str(),
+      num(w->ops_per_batch() / raw_wall_s).c_str(),
+      num(peak_rss_kib() / 1024.0).c_str(), num(raw_wall_s).c_str(),
+      num(raw_cpu_s).c_str(), num(lgbench::median(probe)).c_str(),
       hex(fnv(w->config())).c_str(), LGBENCH_COMPILER, LGBENCH_BUILD_TYPE,
       LGBENCH_FLAGS, metrics.c_str(), notes.c_str(), cells.c_str());
   return 0;

@@ -61,10 +61,14 @@ def build(build_dir):
     return exe if exe.exists() else None
 
 
+PROBE_REF_S = 0.020  # kProbeRefS in bench.h
+
+
 def setup_seconds(exe, args):
     """Median over several launches of the time from process start to the
-    workload's first timed call."""
-    samples = []
+    workload's first timed call: in reference seconds (each launch scaled by
+    the host-speed probe it runs right after that call) and raw."""
+    samples, raw = [], []
     for _ in range(SETUP_REPEATS):
         t0 = time.monotonic_ns()
         r = subprocess.run([str(exe), "--setup-only", "--workload", args.workload,
@@ -75,8 +79,10 @@ def setup_seconds(exe, args):
         line = r.stdout.strip().splitlines()[-1] if r.stdout.strip() else ""
         if r.returncode != 0 or not line.startswith("ready "):
             raise RuntimeError("setup-only run failed: " + r.stderr.strip())
-        samples.append((int(line.split()[1]) - t0) * 1e-9)
-    return statistics.median(samples)
+        _, ready_ns, probe_s = line.split()
+        raw.append((int(ready_ns) - t0) * 1e-9)
+        samples.append(raw[-1] * PROBE_REF_S / float(probe_s))
+    return statistics.median(samples), statistics.median(raw)
 
 
 def run_lgbench(exe, workload, seed, seconds, trace, out_dir):
@@ -180,7 +186,8 @@ def main():
             first, last = (int(x) for x in args.write_goldens.split("-"))
             return write_goldens(exe, range(first, last + 1), out_dir)
 
-        setup_s = setup_seconds(exe, args) if args.trace == 0 else None
+        setup_s, raw_setup_s = (setup_seconds(exe, args) if args.trace == 0
+                                else (None, None))
         text, res = run_lgbench(exe, args.workload, args.seed, args.seconds,
                                 args.trace, out_dir)
     except (RuntimeError, OSError, ValueError, subprocess.TimeoutExpired) as e:
@@ -205,6 +212,11 @@ def main():
         "batch_wall_s": res["batch_wall_s"],
         "cpu_over_wall": res["cpu_over_wall"],
         "rate": {res["rate_name"]: res["ops_per_s"]},
+        "peak_rss_mb": res["peak_rss_mb"],
+        "probe_s": res["probe_s"],
+        "raw_wall_s": res["raw_wall_s"],
+        "raw_cpu_s": res["raw_cpu_s"],
+        "raw_setup_s": raw_setup_s,
         "goldens": golden_status,
     }
     record = {"workload": args.workload, "trace": args.trace, "manifest": manifest,
@@ -219,6 +231,7 @@ def main():
     print("manifest " + json.dumps(manifest, sort_keys=True))
     if args.trace == 0:
         print(f"{res['rate_name']} = {res['ops_per_s']:.6g} 1/s")
+        print(f"peak_rss_mb = {res['peak_rss_mb']:.6g} MB")
     for name, m in metrics.items():
         print(f"{name} = {m['value']:.6g} {m['unit']}")
     for name, why in res["unmeasured"].items():
