@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,8 +47,9 @@ def child_env():
 def build(build_dir):
     """Configures (once) and builds lgbench; returns its path or None."""
     cmds = []
-    if not (build_dir / "build.ninja").exists():
-        cmds.append(["cmake", "-S", str(HERE), "-B", str(build_dir), "-G", "Ninja",
+    if not (build_dir / "CMakeCache.txt").exists():
+        generator = ["-G", "Ninja"] if shutil.which("ninja") else []
+        cmds.append(["cmake", "-S", str(HERE), "-B", str(build_dir), *generator,
                      "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
     jobs = str(min(4, os.cpu_count() or 1))
     cmds.append(["cmake", "--build", str(build_dir), "-j", jobs])
