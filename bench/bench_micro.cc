@@ -15,10 +15,11 @@
 //                        point in the committed BENCH_micro.json), then run
 //                        the guards.
 //   --smoke=<baseline>   reduced mode for ctest: re-measure the steady-state
-//                        event loop and fail if it regressed > 20% in
-//                        events/sec against the most recent trajectory point
-//                        in the committed BENCH_micro.json (plus the 0-alloc
-//                        guards).
+//                        event loop beside a host-speed reference loop and
+//                        fail if its speed relative to that reference
+//                        regressed > 20% against the most recent trajectory
+//                        point in the committed BENCH_micro.json (plus the
+//                        0-alloc guards).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -264,11 +265,68 @@ BENCHMARK(BM_TraceEmitRuntimeOff);
 struct SteadyStat {
   double ns_per_event = 0;
   double allocs_per_event = 0;
+  /// Best host-reference time per op, timed right before each trial (event
+  /// loop only; 0 where not measured).
+  double host_ref_ns = 0;
   double events_per_sec() const { return 1e9 / ns_per_event; }
 };
 
+/// Host-speed reference for the event loop: the same batch shape — take
+/// `kBatch` records off a LIFO freelist, fill them and queue (time, seq,
+/// slot) entries in time order, then drain the queue through a generation
+/// check and an indirect call — written without any simulator code. The
+/// kernel's time divided by this one cancels how fast the shared host
+/// happens to be right now, which an absolute events/sec baseline cannot.
+struct RefRecord {
+  std::uint64_t gen;
+  std::int64_t (*fn)(std::int64_t, std::int64_t);
+  std::int64_t arg;
+  std::int64_t pad[5];
+};
+struct RefEntry {
+  std::int64_t time;
+  std::uint64_t seq;
+  std::uint32_t slot;
+};
+std::int64_t ref_add(std::int64_t a, std::int64_t b) { return a + b; }
+std::int64_t ref_xor(std::int64_t a, std::int64_t b) { return a ^ b; }
+
+double measure_host_ref_ns(int batches) {
+  constexpr std::uint32_t kBatch = 1000;
+  // Static: the reference allocates nothing.
+  static RefRecord slots[kBatch];
+  static std::uint32_t free_slots[kBatch];
+  static RefEntry queue[kBatch];
+  std::uint32_t n_free = kBatch;
+  for (std::uint32_t i = 0; i < kBatch; ++i) free_slots[i] = kBatch - 1 - i;
+  std::int64_t sum = 0, now = 0;
+  std::uint64_t seq = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int b = 0; b < batches; ++b) {
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      const std::uint32_t s = free_slots[--n_free];
+      slots[s].fn = (i & 1) != 0 ? ref_add : ref_xor;
+      slots[s].arg = i;
+      queue[i] = {now + i, seq++, s};
+    }
+    benchmark::ClobberMemory();
+    for (const RefEntry& e : queue) {
+      RefRecord& r = slots[e.slot];
+      if (r.gen != e.seq) sum = r.fn(sum, r.arg);
+      ++r.gen;
+      now = e.time;
+      free_slots[n_free++] = e.slot;
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(sum);
+  return elapsed_ns(t0, t1) / (static_cast<double>(batches) * kBatch);
+}
+
 /// Batch-scheduling regime: `kBatch` events pending at once, one Simulator
-/// reused so the slot freelist and heap capacity are warm.
+/// reused so the slot freelist and heap capacity are warm. Each trial is
+/// preceded by a host-reference trial of the same size, so both minima come
+/// from the same stretch of host time.
 SteadyStat measure_event_loop_steady(int batches, int trials) {
   constexpr int kBatch = 1000;
   Simulator sim;
@@ -280,8 +338,9 @@ SteadyStat measure_event_loop_steady(int batches, int trials) {
     sim.run();
   };
   for (int w = 0; w < 3; ++w) run_batch();  // warm arena/heap/freelist
-  SteadyStat best{1e18, 1e18};
+  SteadyStat best{1e18, 1e18, 1e18};
   for (int t = 0; t < trials; ++t) {
+    best.host_ref_ns = std::min(best.host_ref_ns, measure_host_ref_ns(batches));
     const std::uint64_t a0 = heap_allocs();
     const auto t0 = std::chrono::steady_clock::now();
     for (int b = 0; b < batches; ++b) run_batch();
@@ -467,12 +526,13 @@ void print_point(const char* name, const SteadyStat& s) {
 /// Full-fidelity steady-state measurement, written as one JSON object — the
 /// shape of a trajectory point in the committed BENCH_micro.json.
 int write_bench_json(const char* path) {
-  const SteadyStat loop = measure_event_loop_steady(/*batches=*/2000, /*trials=*/5);
+  const SteadyStat loop = measure_event_loop_steady(/*batches=*/100, /*trials=*/100);
   const SteadyStat chain = measure_event_chain_steady(/*events=*/500'000, /*trials=*/5);
   const SteadyStat port = measure_port_steady(/*batches=*/100, /*trials=*/3);
   print_point("event_loop", loop);
   print_point("event_chain", chain);
   print_point("port_datapath", port);
+  std::printf("%-16s %12.2f ns/op\n", "host_ref", loop.host_ref_ns);
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_micro: cannot write %s\n", path);
@@ -483,9 +543,12 @@ int write_bench_json(const char* path) {
                        bool last) {
     std::fprintf(f,
                  "  \"%s\": {\"events_per_sec\": %.0f, \"ns_per_%s\": %.2f, "
-                 "\"allocs_per_%s\": %.3f}%s\n",
+                 "\"allocs_per_%s\": %.3f",
                  name, s.events_per_sec(), unit, s.ns_per_event, unit,
-                 s.allocs_per_event, last ? "" : ",");
+                 s.allocs_per_event);
+    if (s.host_ref_ns > 0)
+      std::fprintf(f, ", \"host_ref_ns_per_op\": %.2f", s.host_ref_ns);
+    std::fprintf(f, "}%s\n", last ? "" : ",");
   };
   obj("event_loop", loop, "event", false);
   obj("event_chain", chain, "event", false);
@@ -496,23 +559,27 @@ int write_bench_json(const char* path) {
   return 0;
 }
 
-/// Pulls `events_per_sec` out of the LAST "event_loop" object in the file —
-/// in the committed BENCH_micro.json the trajectory array is chronological,
-/// so the last point is the current baseline.
-double parse_baseline_events_per_sec(const std::string& text) {
+/// Pulls `key`'s number out of the LAST "event_loop" object in the file — in
+/// the committed BENCH_micro.json the trajectory array is chronological, so
+/// the last point is the current baseline. Returns -1 when absent.
+double parse_event_loop_field(const std::string& text, const char* key) {
   const std::size_t at = text.rfind("\"event_loop\"");
   if (at == std::string::npos) return -1.0;
-  const std::size_t key = text.find("\"events_per_sec\"", at);
-  if (key == std::string::npos) return -1.0;
-  const std::size_t colon = text.find(':', key);
+  const std::size_t end = text.find('}', at);
+  const std::size_t k = text.find(std::string("\"") + key + "\"", at);
+  if (k == std::string::npos || k > end) return -1.0;
+  const std::size_t colon = text.find(':', k);
   if (colon == std::string::npos) return -1.0;
   return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 /// Reduced mode for the bench-smoke ctest: quick event-loop re-measurement
-/// against the committed baseline, plus the 0-alloc guards. >20% events/sec
-/// regression fails. Comparing best-of-trials against a baseline measured on
-/// the same machine keeps this deterministic enough for CI.
+/// against the committed baseline, plus the 0-alloc guards. The gate is a
+/// ratio of ratios: the event loop's time relative to the host reference
+/// timed beside it now, against the same relative time in the baseline
+/// point. A >20% regression of that host-normalized speed fails; a host that
+/// is merely slower than on the baseline day slows both loops alike and
+/// cancels out.
 int run_smoke(const char* baseline_path) {
   FILE* f = std::fopen(baseline_path, "r");
   if (f == nullptr) {
@@ -524,25 +591,34 @@ int run_smoke(const char* baseline_path) {
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
-  const double baseline = parse_baseline_events_per_sec(text);
-  if (baseline <= 0) {
+  const double base_ns = parse_event_loop_field(text, "ns_per_event");
+  const double base_ref_ns = parse_event_loop_field(text, "host_ref_ns_per_op");
+  if (base_ns <= 0 || base_ref_ns <= 0) {
     std::fprintf(stderr,
-                 "bench_micro --smoke: no event_loop.events_per_sec in %s\n",
+                 "bench_micro --smoke: the last event_loop point in %s lacks "
+                 "ns_per_event or host_ref_ns_per_op (append a point measured "
+                 "with --bench_json)\n",
                  baseline_path);
     return 1;
   }
-  const SteadyStat loop = measure_event_loop_steady(/*batches=*/300, /*trials=*/5);
+  const SteadyStat loop = measure_event_loop_steady(/*batches=*/60, /*trials=*/25);
   const SteadyStat port = measure_port_steady(/*batches=*/30, /*trials=*/3);
-  const double ratio = loop.events_per_sec() / baseline;
-  constexpr double kFloor = 0.80;  // fail on >20% events/sec regression
+  const double raw_ratio = base_ns / loop.ns_per_event;
+  const double host_ratio = base_ref_ns / loop.host_ref_ns;
+  const double ratio = raw_ratio / host_ratio;
+  constexpr double kFloor = 0.80;  // fail on >20% host-normalized regression
   const bool speed_pass = ratio >= kFloor;
   const bool alloc_pass =
       loop.allocs_per_event == 0.0 && port.allocs_per_event == 0.0;
   std::printf("--- bench smoke (baseline %s) ---\n", baseline_path);
-  std::printf("%-32s %12.0f events/sec\n", "baseline event loop", baseline);
-  std::printf("%-32s %12.0f events/sec (%.2fx, floor %.2fx)  [%s]\n",
-              "measured event loop", loop.events_per_sec(), ratio, kFloor,
-              speed_pass ? "PASS" : "FAIL");
+  std::printf("%-32s %12.2f ns/event, host ref %.2f ns/op\n",
+              "baseline event loop", base_ns, base_ref_ns);
+  std::printf("%-32s %12.2f ns/event, host ref %.2f ns/op\n",
+              "measured event loop", loop.ns_per_event, loop.host_ref_ns);
+  std::printf("%-32s %12.2fx (host %.2fx of baseline)\n", "raw speed vs baseline",
+              raw_ratio, host_ratio);
+  std::printf("%-32s %12.2fx (floor %.2fx)  [%s]\n", "host-normalized speed",
+              ratio, kFloor, speed_pass ? "PASS" : "FAIL");
   std::printf("%-32s %12.3f  (limit 0)  [%s]\n", "event loop allocs/event",
               loop.allocs_per_event, loop.allocs_per_event == 0.0 ? "PASS" : "FAIL");
   std::printf("%-32s %12.3f  (limit 0)  [%s]\n", "port datapath allocs/frame",

@@ -106,13 +106,22 @@ struct RepairEvent {
   bool operator>(const RepairEvent& o) const { return time_hours > o.time_hours; }
 };
 
-/// Links waiting for an optimizer pass (corrupting but not disablable yet),
-/// kept ordered by (loss_rate desc, link asc) — the greedy optimizer's
-/// consideration order. Replaces the seed implementation's full re-sort on
-/// every repair event with one binary-search insertion per admitted link and
-/// an in-place stable compaction per pass. (A heap would be strictly worse
-/// here: every pass must visit *all* entries in order, which a heap only
-/// yields by popping and re-pushing the survivors.)
+/// Links of one pod waiting for an optimizer pass (corrupting but not
+/// disablable yet), kept ordered by (loss_rate desc, link asc) — the greedy
+/// optimizer's consideration order — with one binary-search insertion per
+/// admitted link and an in-place stable compaction per pass. (A heap would be
+/// strictly worse here: every pass must visit *all* entries in order, which a
+/// heap only yields by popping and re-pushing the survivors.)
+///
+/// run_deployment keeps one backlog per pod and a repair re-optimizes only
+/// the repaired link's pod. That is exact, not an approximation:
+/// `can_disable(X)` reads only the path counts of X's pod and the up state of
+/// that pod's ToR-fabric links, and both link layers are pod-local. A repair
+/// in pod q only raises pod-q path counts, a disable only lowers its own
+/// pod's, and kCorrupt/kEnableLg touch none. So every waiting link fails
+/// `can_disable` after each event, and a full pass over all pods at a repair
+/// in pod q would disable exactly the pod-q entries, in the same relative
+/// order — the repair-duration draws happen in the same order too.
 class ActiveCorrupting {
  public:
   struct Entry {
@@ -166,7 +175,8 @@ DeploymentResult run_deployment(const DeploymentConfig& cfg) {
 
   std::priority_queue<RepairEvent, std::vector<RepairEvent>, std::greater<>>
       repairs;
-  ActiveCorrupting active_corrupting;
+  std::vector<ActiveCorrupting> active_corrupting(
+      static_cast<std::size_t>(cfg.topo.pods));
 
   auto repair_duration = [&]() {
     return repair_rng.bernoulli(cfg.repair_fast_fraction) ? cfg.repair_fast_hours
@@ -192,14 +202,15 @@ DeploymentResult run_deployment(const DeploymentConfig& cfg) {
       disable_link(ev.link, ev.time_hours);
     } else {
       ++res.kept_active;
-      active_corrupting.insert(ev.loss_rate, ev.link);
+      active_corrupting[static_cast<std::size_t>(l.pod)].insert(ev.loss_rate,
+                                                                ev.link);
     }
   };
 
-  auto run_optimizer = [&](double now) {
-    // Greedy CorrOpt optimizer: consider remaining corrupting links in
-    // decreasing loss-rate order and disable whatever now fits.
-    active_corrupting.drop_if(
+  auto run_optimizer = [&](std::int32_t pod, double now) {
+    // Greedy CorrOpt optimizer: consider the pod's remaining corrupting links
+    // in decreasing loss-rate order and disable whatever now fits.
+    active_corrupting[static_cast<std::size_t>(pod)].drop_if(
         [&](std::int64_t id) {
           return topo.can_disable(id, cfg.capacity_constraint);
         },
@@ -226,8 +237,9 @@ DeploymentResult run_deployment(const DeploymentConfig& cfg) {
       const auto ev = repairs.top();
       repairs.pop();
       topo.apply({LinkTransition::Kind::kRepair, ev.link});
-      // A repaired link returning is CorrOpt's trigger to re-optimize.
-      run_optimizer(now);
+      // A repaired link returning is CorrOpt's trigger to re-optimize; only
+      // its pod can have gained disablable links (see ActiveCorrupting).
+      run_optimizer(topo.link(ev.link).pod, now);
     } else {
       DeploymentSample s;
       s.time_hours = now;

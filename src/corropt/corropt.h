@@ -16,8 +16,12 @@
 // corruption events from a per-link next-failure heap (`CorruptionStream`)
 // instead of materializing and sorting the whole horizon's trace — O(links)
 // state instead of O(events) — and reads every per-sample metric from the
-// FabricTopology incremental capacity engine. The pre-refactor full-scan
-// metrics remain available behind `DeploymentConfig::naive_metrics`
+// FabricTopology incremental capacity engine. The optimizer keeps its
+// backlog of not-yet-disablable links per pod, and a repair re-optimizes
+// only the repaired link's pod: capacity checks are pod-local, so no other
+// pod's backlog can have become disablable, and the result is bit-identical
+// to a full pass over every backlog. The pre-refactor full-scan metrics
+// remain available behind `DeploymentConfig::naive_metrics`
 // (fabric/naive_metrics.h); both paths produce bit-identical
 // `DeploymentResult`s, which the differential tests and `bench_deploy`
 // enforce.

@@ -7,6 +7,8 @@ namespace lgsim::fabric {
 
 namespace {
 
+constexpr double kStaleTerm = std::numeric_limits<double>::quiet_NaN();
+
 void validate(const TopologyConfig& cfg) {
   const auto dim_ok = [](std::int32_t v) { return v >= 1 && v <= kMaxDimension; };
   if (!dim_ok(cfg.pods) || !dim_ok(cfg.tors_per_pod) ||
@@ -172,13 +174,21 @@ void FabricTopology::reconcile(std::int64_t id, const Link& before,
 
   const bool was_counted = before.up && before.corrupting;
   const bool now_counted = after.up && after.corrupting;
-  if (was_counted != now_counted) {
+  const bool term_changed = was_counted && now_counted &&
+                            (before.loss_rate != after.loss_rate ||
+                             before.lg_enabled != after.lg_enabled);
+  if (was_counted != now_counted || term_changed) {
     const auto it =
         std::lower_bound(corrupting_up_.begin(), corrupting_up_.end(), id);
-    if (now_counted) {
+    const auto term = penalty_terms_.begin() + (it - corrupting_up_.begin());
+    if (term_changed) {
+      *term = kStaleTerm;
+    } else if (now_counted) {
       corrupting_up_.insert(it, id);
+      penalty_terms_.insert(term, kStaleTerm);
     } else {
       corrupting_up_.erase(it);
+      penalty_terms_.erase(term);
     }
   }
 
@@ -268,11 +278,20 @@ double FabricTopology::least_capacity_per_pod_frac() const {
 }
 
 double FabricTopology::total_penalty(double lg_target_loss) const {
+  if (lg_target_loss != penalty_target_) {
+    std::fill(penalty_terms_.begin(), penalty_terms_.end(), kStaleTerm);
+    penalty_target_ = lg_target_loss;
+  }
   double penalty = 0.0;
-  // Ascending link id == the naive full scan's summation order, so the
+  // Ascending link id == the naive full scan's summation order, and each
+  // cached term is the very double link_penalty() returns, so the
   // floating-point result is bit-identical.
-  for (const std::int64_t id : corrupting_up_)
-    penalty += link_penalty(links_[id], lg_target_loss);
+  for (std::size_t i = 0; i < corrupting_up_.size(); ++i) {
+    double& term = penalty_terms_[i];
+    if (std::isnan(term))
+      term = link_penalty(links_[corrupting_up_[i]], lg_target_loss);
+    penalty += term;
+  }
   return penalty;
 }
 

@@ -29,10 +29,11 @@
 //    pod, `least_capacity_per_pod_frac()` rescans only dirty pods (bit-exact
 //    against the full naive scan because the per-pod summation order is
 //    unchanged);
-//  - the ordered set of corrupting-up links, so `total_penalty()` sums
-//    O(active) contributions in ascending link order — the same FP order the
-//    naive full scan uses, keeping the result bit-identical (a running +=/-=
-//    accumulator would drift);
+//  - the ordered set of corrupting-up links with a cached `link_penalty()`
+//    term per link, so `total_penalty()` sums O(active) contributions in
+//    ascending link order — the same FP order the naive full scan uses,
+//    keeping the result bit-identical (a running +=/-= accumulator would
+//    drift) — and recomputes only the terms a transition invalidated;
 //  - per-switch LinkGuardian counts plus a value histogram answering
 //    `max_lg_links_per_switch()` in O(1).
 // The pre-refactor full-scan implementations live on as
@@ -42,6 +43,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -168,8 +170,11 @@ class FabricTopology {
 
   /// Sum of loss rates over corrupting, still-enabled links, where
   /// LinkGuardian-protected links contribute their effective (residual)
-  /// loss rate ("total penalty"). O(corrupting-up links), summed in
-  /// ascending link order — bit-identical to the naive full scan.
+  /// loss rate ("total penalty"). O(corrupting-up links) additions, summed in
+  /// ascending link order — bit-identical to the naive full scan. Each
+  /// link's term is cached and recomputed only after a transition changed
+  /// its loss rate or LG state, or when `lg_target_loss` differs from the
+  /// previous call's.
   double total_penalty(double lg_target_loss) const;
 
   /// Highest number of LinkGuardian-enabled links on any single switch
@@ -214,6 +219,11 @@ class FabricTopology {
 
   // Corrupting && up links, ascending id (the penalty summation order).
   std::vector<std::int64_t> corrupting_up_;
+  // link_penalty() of each corrupting_up_ entry at penalty_target_, parallel
+  // to corrupting_up_; NaN marks a stale term. (A term that is genuinely NaN
+  // is merely recomputed every call, to the same bits.)
+  mutable std::vector<double> penalty_terms_;
+  mutable double penalty_target_ = std::numeric_limits<double>::quiet_NaN();
 
   // LinkGuardian sender-side counts: ToR switches own ToR-fabric links,
   // fabric switches own fabric-spine links.

@@ -1,8 +1,12 @@
 // Tests for the CorrOpt trace generator and deployment simulation (§4.8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <queue>
+#include <vector>
 
 #include "corropt/corropt.h"
 
@@ -227,6 +231,139 @@ TEST(DeploymentDifferential, IncrementalMatchesNaiveBitwise) {
       return;
     }
   }
+}
+
+// Oracle for the pod-local optimizer: run_deployment's loop as it was before
+// the backlog went per-pod — one global (loss desc, link asc) backlog,
+// re-checked in full at every repair. Same stream, same RNG draws, same
+// incremental metric engine; only the optimizer's scope differs.
+DeploymentResult full_rescan_deployment(const DeploymentConfig& cfg) {
+  using fabric::LinkTransition;
+  using Kind = LinkTransition::Kind;
+  DeploymentResult res;
+  res.cfg = cfg;
+  fabric::FabricTopology topo(cfg.topo);
+  Rng rng(cfg.seed);
+  Rng repair_rng = rng.split();
+  CorruptionStream stream(topo.n_links(), cfg.duration_hours, cfg.mttf_hours,
+                          rng);
+  struct Repair {
+    double time_hours;
+    std::int64_t link;
+    bool operator>(const Repair& o) const { return time_hours > o.time_hours; }
+  };
+  std::priority_queue<Repair, std::vector<Repair>, std::greater<>> repairs;
+  struct Active {
+    double loss_rate;
+    std::int64_t link;
+  };
+  std::vector<Active> active;
+
+  auto disable = [&](std::int64_t id, double now) {
+    topo.apply({Kind::kDisable, id});
+    const double d = repair_rng.bernoulli(cfg.repair_fast_fraction)
+                         ? cfg.repair_fast_hours
+                         : cfg.repair_slow_hours;
+    repairs.push({now + d, id});
+  };
+
+  double next_sample = cfg.sample_period_hours;
+  for (double now = 0.0; now < cfg.duration_hours;) {
+    const double t_trace = !stream.done() ? stream.next_time_hours() : 1e18;
+    const double t_repair = !repairs.empty() ? repairs.top().time_hours : 1e18;
+    const double t_next = std::min({t_trace, t_repair, next_sample});
+    if (t_next >= cfg.duration_hours) break;
+    now = t_next;
+    if (t_next == t_trace) {
+      ++res.corruption_events;
+      const CorruptionEvent ev = stream.pop();
+      const fabric::Link& l = topo.link(ev.link);
+      if (!l.up || l.corrupting) continue;
+      topo.apply({Kind::kCorrupt, ev.link, ev.loss_rate});
+      if (cfg.use_linkguardian) {
+        topo.apply({Kind::kEnableLg, ev.link, 0.0,
+                    lg_effective_speed(ev.loss_rate)});
+      }
+      if (topo.can_disable(ev.link, cfg.capacity_constraint)) {
+        ++res.disabled_immediately;
+        disable(ev.link, ev.time_hours);
+      } else {
+        ++res.kept_active;
+        const Active a{ev.loss_rate, ev.link};
+        active.insert(std::upper_bound(active.begin(), active.end(), a,
+                                       [](const Active& x, const Active& y) {
+                                         if (x.loss_rate != y.loss_rate)
+                                           return x.loss_rate > y.loss_rate;
+                                         return x.link < y.link;
+                                       }),
+                      a);
+      }
+    } else if (t_next == t_repair) {
+      const Repair ev = repairs.top();
+      repairs.pop();
+      topo.apply({Kind::kRepair, ev.link});
+      std::size_t kept = 0;
+      for (const Active& a : active) {
+        if (topo.can_disable(a.link, cfg.capacity_constraint)) {
+          ++res.disabled_by_optimizer;
+          disable(a.link, now);
+        } else {
+          active[kept++] = a;
+        }
+      }
+      active.resize(kept);
+    } else {
+      DeploymentSample s;
+      s.time_hours = now;
+      s.total_penalty = topo.total_penalty(cfg.lg_target_loss);
+      s.least_paths_frac = topo.least_paths_per_tor_frac();
+      s.least_capacity_frac = topo.least_capacity_per_pod_frac();
+      s.corrupting_links = static_cast<std::int32_t>(topo.corrupting_up_links());
+      s.disabled_links = static_cast<std::int32_t>(topo.disabled_links());
+      s.lg_links = static_cast<std::int32_t>(topo.lg_up_links());
+      res.max_lg_per_switch =
+          std::max(res.max_lg_per_switch, topo.max_lg_links_per_switch());
+      res.samples.push_back(s);
+      next_sample += cfg.sample_period_hours;
+    }
+  }
+  return res;
+}
+
+// run_deployment re-optimizes only the repaired link's pod. Across random
+// fabrics, constraints and accelerated failure rates — long backlogs, many
+// pods contending at once — it must reproduce the full rescan bit for bit.
+TEST(DeploymentDifferential, PodLocalOptimizerMatchesFullRescanBitwise) {
+  Rng rng(2024);
+  int with_optimizer_disables = 0;
+  constexpr int kConfigs = 60;
+  for (int i = 0; i < kConfigs; ++i) {
+    DeploymentConfig cfg;
+    const auto pick = [&](std::int32_t lo, std::int32_t hi) {
+      return lo + static_cast<std::int32_t>(
+                      rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    cfg.topo = {.pods = pick(2, 12), .tors_per_pod = pick(2, 48),
+                .fabrics_per_pod = pick(1, 6), .spines_per_plane = pick(2, 48)};
+    cfg.capacity_constraint = rng.uniform(0.5, 0.95);
+    cfg.use_linkguardian = rng.bernoulli(0.5);
+    cfg.duration_hours = 24 * 30;
+    cfg.mttf_hours = rng.uniform(150, 1'500);
+    cfg.sample_period_hours = rng.uniform(1.0, 12.0);
+    cfg.seed = rng.next_u64();
+    const auto pod_local = run_deployment(cfg);
+    expect_bit_identical(pod_local, full_rescan_deployment(cfg));
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "diverged on config " << i << " (pods "
+                    << cfg.topo.pods << ", constraint "
+                    << cfg.capacity_constraint << ", lg "
+                    << cfg.use_linkguardian << ")";
+      return;
+    }
+    if (pod_local.disabled_by_optimizer > 0) ++with_optimizer_disables;
+  }
+  // The sweep must actually exercise the optimizer, not just the fast path.
+  EXPECT_GE(with_optimizer_disables, kConfigs / 2);
 }
 
 // FNV-1a over the per-field bytes of every sample (field-wise to avoid

@@ -4,8 +4,10 @@
 // scan-based NaiveFabricMetrics reference (DESIGN.md §11).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "fabric/naive_metrics.h"
 #include "fabric/topology.h"
@@ -240,6 +242,68 @@ void run_differential(const TopologyConfig& cfg, std::uint64_t seed,
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// The cached per-link penalty terms: every transition kind, applied at
+// random to a tiny fabric so the same links are hit over and over, with the
+// penalty queried after each step at one of two LG targets (repeats exercise
+// the cached path, switches the full recompute). Must track the naive scan
+// bit for bit.
+TEST(FabricDifferential, CachedPenaltyTermsMatchNaive) {
+  FabricTopology t({.pods = 2, .tors_per_pod = 3, .fabrics_per_pod = 2,
+                    .spines_per_plane = 3});
+  Rng rng(4711);
+  constexpr double kTargets[] = {1e-8, 1e-6};
+  int lg_flips_on_counted = 0, loss_changes_on_counted = 0;
+  int recorrupt_after_repair = 0, repairs_of_disabled = 0, target_switches = 0;
+  std::vector<std::uint8_t> repaired(static_cast<std::size_t>(t.n_links()), 0);
+  int target = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const auto id = static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(t.n_links())));
+    const Link before = t.link(id);
+    const bool counted = before.up && before.corrupting;
+    const double loss = std::pow(10.0, rng.uniform(-7.0, -1.0));
+    switch (rng.uniform_int(5)) {
+      case 0:
+        t.apply({Kind::kCorrupt, id, loss});
+        if (counted) ++loss_changes_on_counted;
+        if (repaired[static_cast<std::size_t>(id)] && before.up &&
+            !before.corrupting) {
+          ++recorrupt_after_repair;
+          repaired[static_cast<std::size_t>(id)] = 0;
+        }
+        break;
+      case 1:
+        t.apply({Kind::kEnableLg, id, 0.0, 0.85 + 0.15 * rng.uniform()});
+        if (counted && !before.lg_enabled) ++lg_flips_on_counted;
+        break;
+      case 2:
+        t.apply({Kind::kDisableLg, id});
+        if (counted && before.lg_enabled) ++lg_flips_on_counted;
+        break;
+      case 3:
+        t.apply({Kind::kDisable, id});
+        break;
+      default:
+        t.apply({Kind::kRepair, id});
+        if (!before.up) ++repairs_of_disabled;
+        repaired[static_cast<std::size_t>(id)] = 1;
+        break;
+    }
+    if (rng.bernoulli(0.3)) {
+      target ^= 1;
+      ++target_switches;
+    }
+    ASSERT_TRUE(bits_equal(t.total_penalty(kTargets[target]),
+                           NaiveFabricMetrics::total_penalty(t, kTargets[target])))
+        << "total_penalty diverged at step " << step;
+  }
+  EXPECT_GT(lg_flips_on_counted, 100);
+  EXPECT_GT(loss_changes_on_counted, 100);
+  EXPECT_GT(recorrupt_after_repair, 100);
+  EXPECT_GT(repairs_of_disabled, 100);
+  EXPECT_GT(target_switches, 100);
 }
 
 TEST(FabricDifferential, AsymmetricSmallTopology) {
