@@ -2,14 +2,12 @@
 // (LG) and LinkGuardianNB (LG_NB) on 25G/100G links at three production loss
 // rates, plus the §4.1 "timeouts in practice" counter.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "harness/stress.h"
 #include "lg/config.h"
-#include "util/env.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -17,19 +15,6 @@ int main(int argc, char** argv) {
   using namespace lgsim;
   using harness::StressConfig;
   using harness::StressResult;
-
-  // --shards=N (or LGSIM_SHARDS; flag wins) runs the grid on the sharded
-  // runtime's worker pool instead of LGSIM_BENCH_JOBS. Output is
-  // byte-identical either way — deliberately not printed in the banner.
-  std::int32_t shards = static_cast<std::int32_t>(
-      parse_positive_count(std::getenv("LGSIM_SHARDS"), 1));
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i] != nullptr ? argv[i] : "";
-    if (a.rfind("--shards=", 0) == 0) {
-      shards = static_cast<std::int32_t>(
-          parse_positive_count(a.c_str() + 9, 1));
-    }
-  }
 
   bench::banner("Figure 8", "Effective loss rate & effective link speed (stress test)");
 
@@ -62,9 +47,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::vector<StressResult> results =
-      shards > 1 ? harness::run_stress_grid_sharded(grid, shards)
-                 : harness::run_stress_grid(grid);
+  const std::vector<StressResult> results = harness::run_stress_grid(grid);
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const StressConfig& c = grid[i];

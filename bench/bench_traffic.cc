@@ -12,31 +12,25 @@
 //   --bench_json=<path>  run the small-scale hybrid-vs-all-packet
 //                        differential and the in-process jobs=1 vs jobs=4
 //                        identity check, then both paper-scale scheme arms,
-//                        the intra-run sharding identity + scaling curve
+//                        the intra-cell shard identity + scaling curve
 //                        (shards 1/2/4/8 on the CorrOpt+LG arm), and write
 //                        one BENCH_traffic.json trajectory object.
 //   --smoke=<baseline>   reduced ctest mode: baseline must be readable,
 //                        hybrid victim FCTs must be bit-identical to the
 //                        all-packet reference, the jobs=1/4 merge must be
-//                        bit-identical, the sharded run (shards=4, forced
-//                        2 workers) must be bit-identical to unsharded, and
-//                        CorrOpt+LG must beat CorrOpt-only on victim tail
-//                        FCT under a forced 1e-3 loss.
-//
-// --shards=N (or LGSIM_SHARDS; flag wins) runs every cell on the sharded
-// runtime (sim/shard.h) with N pod-block shards. Stdout and JSON metrics are
-// byte-identical for any shard count — only wall-clock lines change.
+//                        bit-identical, the shards=4 run must be
+//                        bit-identical to shards=1, and CorrOpt+LG must beat
+//                        CorrOpt-only on victim tail FCT under a forced 1e-3
+//                        loss.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "bench_common.h"
 #include "traffic/engine.h"
-#include "util/cores.h"
-#include "util/env.h"
 #include "util/table.h"
 
 namespace {
@@ -44,17 +38,12 @@ namespace {
 using namespace lgsim;
 using namespace lgsim::traffic;
 
-/// --shards=N / LGSIM_SHARDS, applied to every engine run of the selected
-/// mode. 1 (the default) is the unsharded reference path.
-std::int32_t g_shards = 1;
-
 /// Victim-path replay knobs shared with the testbed FCT benches: the same
 /// bench::TrafficConfig that parameterizes bench_fig10/11/12 supplies the
 /// transport and link rate victim flows are driven with here.
 EngineConfig with_victim_path(EngineConfig c, const bench::TrafficConfig& tc) {
   c.transport = tc.transports.front();
   c.link_rate = tc.rate;
-  c.shards = g_shards;
   return c;
 }
 
@@ -201,10 +190,10 @@ int write_bench_json(const char* path) {
   std::fprintf(stderr, "wall: CorrOpt+LG %.3f s, CorrOpt %.3f s\n", lg.sec,
                co.sec);
 
-  // Intra-run sharding on the CorrOpt+LG paper arm: identity across shard
-  // counts (the contract) plus the jobs=1 scaling curve (the point of the
-  // runtime). Wall clocks are honest for THIS machine — `cores` records how
-  // many it had; on a single-core box the curve is flat by construction.
+  // Intra-cell parallelism on the CorrOpt+LG paper arm: identity across
+  // shard counts (the contract) plus the jobs=1 scaling curve. Wall clocks
+  // are honest for THIS machine — `cores` records how many it had; on a
+  // single-core box the curve is flat by construction.
   const std::int32_t curve_shards[] = {1, 2, 4, 8};
   TimedRun shard_runs[4];
   for (int i = 0; i < 4; ++i) {
@@ -233,9 +222,10 @@ int write_bench_json(const char* path) {
                ck.jobs_identical ? "true" : "false");
   std::fprintf(f,
                "  \"sharding\": {\"jobs\": 1, \"cores\": %u, "
-               "\"window_ns\": 700, \"identical_shards_1_8\": %s,\n"
+               "\"identical_shards_1_8\": %s,\n"
                "    \"curve\": [",
-               machine_cores(), shards_identical ? "true" : "false");
+               std::thread::hardware_concurrency(),
+               shards_identical ? "true" : "false");
   for (int i = 0; i < 4; ++i) {
     std::fprintf(f, "%s{\"shards\": %d, \"wall_sec\": %.3f}", i ? ", " : "",
                  curve_shards[i], shard_runs[i].sec);
@@ -289,10 +279,9 @@ int run_smoke(const char* baseline_path) {
   const Checks ck = run_checks();
 
   // Scheme comparison on the same small fabric: every corrupting link stays
-  // active at 1e-3 loss; LG must shrink the victim tail. shards=1 forced —
-  // this run doubles as the unsharded reference for the shard gate below.
-  EngineConfig lg_cfg = small_cfg(Scheme::kCorrOptLg, Fidelity::kHybrid);
-  lg_cfg.shards = 1;
+  // active at 1e-3 loss; LG must shrink the victim tail. This shards=1 run
+  // doubles as the reference for the shard gate below.
+  const EngineConfig lg_cfg = small_cfg(Scheme::kCorrOptLg, Fidelity::kHybrid);
   const TrafficResult lg = run_traffic(lg_cfg, 2);
   const TrafficResult co =
       run_traffic(small_cfg(Scheme::kCorrOptOnly, Fidelity::kHybrid), 2);
@@ -300,12 +289,10 @@ int run_smoke(const char* baseline_path) {
                        lg.p_victim(99) < co.p_victim(99) &&
                        lg.fct_victim_us.mean() < co.fct_victim_us.mean();
 
-  // Shard gate: the same cell grid on the sharded runtime (shards clamp to
-  // the 2 pods; 2 workers forced so the concurrent windowed-sync path runs
-  // even on a single-core machine) must merge to the same bytes.
+  // Shard gate: the same cell grid split into 4 host blocks per cell, each
+  // cell's generation and replay on 4 threads, must merge to the same bytes.
   EngineConfig sh_cfg = lg_cfg;
   sh_cfg.shards = 4;
-  sh_cfg.shard_workers = 2;
   const bool shard_identical = identical_results(lg, run_traffic(sh_cfg, 2));
 
   std::printf("victim p99: CorrOpt-only %.1f us vs CorrOpt+LG %.1f us  [%s]\n",
@@ -313,7 +300,7 @@ int run_smoke(const char* baseline_path) {
   std::printf("differential [%s]  jobs-identical [%s]\n",
               ck.differential ? "PASS" : "FAIL",
               ck.jobs_identical ? "PASS" : "FAIL");
-  std::printf("sharded vs unsharded [%s]  baseline sharding section [%s]\n",
+  std::printf("shards=4 vs shards=1 [%s]  baseline sharding section [%s]\n",
               shard_identical ? "PASS" : "FAIL",
               has_sharding ? "PASS" : "FAIL");
   return (ck.ok() && lg_wins && shard_identical && has_sharding) ? 0 : 1;
@@ -325,17 +312,12 @@ int main(int argc, char** argv) {
   lgsim::bench::TraceSession trace_session(argc, argv);
   const char* json_path = nullptr;
   const char* smoke_path = nullptr;
-  g_shards = static_cast<std::int32_t>(
-      lgsim::parse_positive_count(std::getenv("LGSIM_SHARDS"), 1));
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i] != nullptr ? argv[i] : "";
     if (a.rfind("--bench_json=", 0) == 0)
       json_path = argv[i] + std::strlen("--bench_json=");
     if (a.rfind("--smoke=", 0) == 0)
       smoke_path = argv[i] + std::strlen("--smoke=");
-    if (a.rfind("--shards=", 0) == 0)
-      g_shards = static_cast<std::int32_t>(
-          lgsim::parse_positive_count(argv[i] + std::strlen("--shards="), 1));
   }
   if (smoke_path != nullptr) return run_smoke(smoke_path);
   if (json_path != nullptr) return write_bench_json(json_path);

@@ -5,15 +5,19 @@
 // single-threaded by design (see DESIGN.md); the parallelism lives one layer
 // up, at the replication grid: each {seed, config} cell constructs its own
 // Simulator/Rng inside the run function, so workers share no mutable state.
+// parallel_map is the tree's one worker loop; ParallelRunner and the traffic
+// engine's intra-cell stages (DESIGN.md §15) both fan out through it, and
+// nesting them is safe (each call owns its threads and its result slots).
 //
 // Determinism contract: the merged results are byte-identical for any worker
 // count (LGSIM_BENCH_JOBS=1 vs =8), because
 //   1. each replication's result depends only on its config (no ambient
 //      state, no shared RNG draws, no time-of-day),
-//   2. workers collect results into per-worker accumulators (no locks, no
+//   2. each result lands in its own per-index slot (no locks, no
 //      contention-ordering effects), and
-//   3. the accumulators are reduced at join by sorting on
-//      (seed, config index) — a total order independent of scheduling.
+//   3. results come back in submission order, which ParallelRunner::run()
+//      re-sorts on (seed, config index) — a total order independent of
+//      scheduling.
 // tests/parallel_runner_test.cc enforces this differentially, and a
 // ThreadSanitizer build of the same test runs in the tier-1 ctest pass.
 #pragma once
@@ -30,7 +34,6 @@
 
 #include "harness/run_result.h"
 #include "obs/trace.h"
-#include "util/cores.h"
 #include "util/env.h"
 
 namespace lgsim::harness {
@@ -65,10 +68,6 @@ auto parallel_map(const std::vector<Item>& items, Fn&& fn,
     // Serial reference path: identical work, identical order.
     for (std::size_t i = 0; i < items.size(); ++i) slots[i] = fn(items[i], i);
   } else {
-    // Lease the worker count so nested pools (sharded cells) size themselves
-    // from the remainder of the machine. Serial runs don't lease: a
-    // single-worker outer loop leaves the whole budget to its callee.
-    CoreLease lease(workers);
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(workers);
     std::vector<std::thread> pool;
@@ -130,7 +129,11 @@ class ParallelRunner {
   /// Runs every cell and returns the merged results sorted on
   /// (seed, config index). Deterministic for any worker count.
   std::vector<RunResult<Value>> run() {
-    auto merged = run_cells();
+    std::vector<Value> values = run_cells();
+    std::vector<RunResult<Value>> merged;
+    merged.reserve(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+      merged.push_back(RunResult<Value>{grid_[i].key, std::move(values[i])});
     std::sort(merged.begin(), merged.end(),
               [](const RunResult<Value>& a, const RunResult<Value>& b) {
                 return a.key < b.key;
@@ -142,17 +145,7 @@ class ParallelRunner {
   /// `for` loop over the same grid would have produced, for printing rows in
   /// the paper's table order. Equally deterministic: both orders are total
   /// and scheduling-independent.
-  std::vector<Value> run_in_grid_order() {
-    auto merged = run_cells();
-    std::sort(merged.begin(), merged.end(),
-              [](const RunResult<Value>& a, const RunResult<Value>& b) {
-                return a.key.config_index < b.key.config_index;
-              });
-    std::vector<Value> out;
-    out.reserve(merged.size());
-    for (auto& r : merged) out.push_back(std::move(r.value));
-    return out;
-  }
+  std::vector<Value> run_in_grid_order() { return run_cells(); }
 
  private:
   struct Cell {
@@ -160,14 +153,7 @@ class ParallelRunner {
     Config cfg;
   };
 
-  // Per-worker accumulator: collects this worker's finished runs without any
-  // synchronization; reduced (concatenated) after join.
-  std::vector<RunResult<Value>> run_cells() {
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, grid_.size()));
-    std::vector<std::vector<RunResult<Value>>> acc(
-        workers > 1 ? workers : 1);
-
+  std::vector<Value> run_cells() {
     // Per-cell trace sinks, when a bench installed a TraceCollector. All
     // sinks are allocated here on the main thread, before any worker spawns
     // and in grid-submission order, so the exported trace is byte-identical
@@ -185,53 +171,14 @@ class ParallelRunner {
                            " seed=" + std::to_string(c.key.seed)));
       }
     }
-    auto run_one = [&](std::size_t i) {
-      if (!sinks.empty()) {
-        obs::SinkScope scope(sinks[i]);
-        return fn_(grid_[i].cfg);
-      }
-      return fn_(grid_[i].cfg);
-    };
-
-    if (workers <= 1) {
-      acc[0].reserve(grid_.size());
-      for (std::size_t i = 0; i < grid_.size(); ++i) {
-        acc[0].push_back(RunResult<Value>{grid_[i].key, run_one(i)});
-      }
-    } else {
-      // See parallel_map: leased only on the threaded path so nested sharded
-      // cells split the remaining cores instead of oversubscribing.
-      CoreLease lease(workers);
-      std::atomic<std::size_t> next{0};
-      std::vector<std::exception_ptr> errors(workers);
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            for (;;) {
-              const std::size_t i =
-                  next.fetch_add(1, std::memory_order_relaxed);
-              if (i >= grid_.size()) return;
-              acc[w].push_back(RunResult<Value>{grid_[i].key, run_one(i)});
-            }
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      for (auto& t : pool) t.join();
-      for (auto& e : errors) {
-        if (e) std::rethrow_exception(e);
-      }
-    }
-
-    std::vector<RunResult<Value>> merged;
-    merged.reserve(grid_.size());
-    for (auto& a : acc) {
-      for (auto& r : a) merged.push_back(std::move(r));
-    }
-    return merged;
+    return parallel_map(
+        grid_,
+        [&](const Cell& c, std::size_t i) {
+          if (sinks.empty()) return fn_(c.cfg);
+          obs::SinkScope scope(sinks[i]);
+          return fn_(c.cfg);
+        },
+        jobs_);
   }
 
   RunFn fn_;

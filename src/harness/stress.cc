@@ -1,13 +1,9 @@
 #include "harness/stress.h"
 
-#include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "harness/parallel.h"
 #include "obs/trace.h"
-#include "sim/shard.h"
-#include "util/cores.h"
 
 namespace lgsim::harness {
 
@@ -221,37 +217,6 @@ std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs)
 std::vector<StressResult> run_stress_with_config_grid(
     const std::vector<StressConfig>& cfgs) {
   return run_grid_with(cfgs, &run_stress_with_config);
-}
-
-std::vector<StressResult> run_stress_grid_sharded(
-    const std::vector<StressConfig>& cfgs, std::int32_t n_shards) {
-  if (n_shards < 1) n_shards = 1;
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      static_cast<std::size_t>(n_shards), cfgs.size()));
-  std::vector<StressResult> out(cfgs.size());
-
-  // Per-cell sinks, pre-created in grid order on this thread before any
-  // worker spawns — the TraceCollector contract ParallelRunner follows, so
-  // a traced sharded grid exports the same bytes as the unsharded one.
-  std::vector<obs::TraceSink*> sinks;
-  if (obs::TraceCollector* col = obs::TraceCollector::active()) {
-    sinks.reserve(cfgs.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      sinks.push_back(col->make_sink("cell " + std::to_string(i) + " seed=" +
-                                     std::to_string(cfgs[i].seed)));
-    }
-  }
-
-  CoreLease lease(workers);
-  sim::run_indexed(cfgs.size(), workers, [&](std::size_t i) {
-    if (!sinks.empty()) {
-      obs::SinkScope scope(sinks[i]);
-      out[i] = run_stress(cfgs[i]);
-    } else {
-      out[i] = run_stress(cfgs[i]);
-    }
-  });
-  return out;
 }
 
 }  // namespace lgsim::harness

@@ -82,14 +82,4 @@ std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs)
 std::vector<StressResult> run_stress_with_config_grid(
     const std::vector<StressConfig>& cfgs);
 
-/// Runs the grid on the sharded runtime's worker pool (sim::run_indexed)
-/// with up to `n_shards` workers instead of LGSIM_BENCH_JOBS. Stress cells
-/// are single-link simulations — there are no cross-shard edges to cut — so
-/// each cell is one indivisible task; the worker count is leased from the
-/// shared core budget (util/cores.h) and, as everywhere, changes wall clock
-/// only: results and any exported trace are byte-identical to
-/// run_stress_grid.
-std::vector<StressResult> run_stress_grid_sharded(
-    const std::vector<StressConfig>& cfgs, std::int32_t n_shards);
-
 }  // namespace lgsim::harness

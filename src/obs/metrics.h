@@ -37,8 +37,8 @@ class MetricsRegistry {
 
   /// Folds another registry in: counters add, gauges take the other's value
   /// (last writer wins, matching sequential re-publication), distributions
-  /// merge Welford-style. Used to reduce per-shard registries into the cell's
-  /// sink in deterministic shard order.
+  /// merge Welford-style. Used to reduce per-group registries into the cell's
+  /// sink in deterministic group order (TraceSink::absorb).
   void merge(const MetricsRegistry& o) {
     for (const auto& [n, v] : o.counters_) counters_[n] += v;
     for (const auto& [n, v] : o.gauges_) gauges_[n] = v;

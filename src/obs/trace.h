@@ -180,9 +180,9 @@ class TraceSink {
   /// Folds another sink's contents into this one: records are re-pushed in
   /// the other ring's retained (oldest-first) order with actor ids re-interned
   /// into this sink's name space, and the metrics registries merge. This is
-  /// how per-shard sinks — filled concurrently on shard workers — reduce into
-  /// a cell's collector-registered sink: absorbing in fixed shard order keeps
-  /// the exported trace independent of worker scheduling.
+  /// how per-group sinks — filled concurrently by a traffic cell's replay
+  /// workers — reduce into the cell's sink: absorbing in fixed group order
+  /// keeps the exported trace independent of worker scheduling.
   void absorb(const TraceSink& o) {
     std::vector<std::uint32_t> remap(o.names_.size(), 0);
     for (std::size_t i = 1; i < o.names_.size(); ++i)

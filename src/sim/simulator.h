@@ -113,36 +113,6 @@ class Simulator {
     return id;
   }
 
-  /// Schedule an already-built callback (the cross-shard delivery path:
-  /// sim/shard.h drains `InlineCallback`s out of boundary channels and moves
-  /// them straight into an event slot; re-wrapping them in a closure would
-  /// overflow the inline buffer). Same counters and ordering as the template.
-  EventId schedule_at(SimTime t, Callback&& cb) {
-    std::uint32_t s;
-    if (!free_slots_.empty()) {
-      s = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      s = slot_count_++;
-      if (s > kSlotMask) slot_overflow();
-      if ((s & kChunkMask) == 0)
-        chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    Slot& slot = slot_ref(s);
-    slot.cb = std::move(cb);
-    const EventId id = make_id(s, slot.gen);
-    const Entry e{t, seq_++, id};
-    if (run_.empty() || !before(e, run_.back()))
-      run_.push_back(e);
-    else
-      heap_push(e);
-    ++pending_;
-    ++counters_.scheduled;
-    const std::uint64_t depth = heap_.size() + run_.size();
-    if (depth > counters_.peak_heap_depth) counters_.peak_heap_depth = depth;
-    return id;
-  }
-
   /// Schedule `cb` to run `delay` ns from now.
   template <typename F>
   EventId schedule_in(SimTime delay, F&& cb) {

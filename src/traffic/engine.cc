@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
-#include <memory>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "corropt/corropt.h"
-#include "fabric/partition.h"
 #include "harness/parallel.h"
 #include "obs/trace.h"
-#include "sim/shard.h"
 #include "traffic/path.h"
 
 namespace lgsim::traffic {
@@ -101,18 +101,24 @@ Scenario build_scenario(const EngineConfig& cfg) {
   return sc;
 }
 
-struct CellJob {
-  const EngineConfig* cfg = nullptr;
-  const Scenario* sc = nullptr;
-  const fabric::PodPartition* part = nullptr;  // shards > 1 only
-  std::uint64_t seed = 0;
-  std::int32_t slice = 0;
+/// One flow whose packet/fluid decision depends on a cell-global packet
+/// budget. Every block lists them in generation order; see Cell::run.
+struct Candidate {
+  std::int64_t bytes = 0;
+  std::uint64_t aux = 0;
+  std::int32_t hot_idx = -1;  // -1: background (kAllPacket only)
+  std::int32_t n_links = 0;
 };
 
-/// A flow committed to a packet-level replay group.
-struct PendingFlow {
-  std::int64_t bytes;
-  std::uint64_t aux;
+/// Generation output of one contiguous host block.
+struct BlockOut {
+  std::int64_t generated = 0;
+  std::int64_t stranded = 0;
+  std::int64_t victims = 0;
+  std::int64_t fluid_flows = 0;
+  lgsim::PercentileTracker victim_us;
+  lgsim::PercentileTracker bg_us;
+  std::vector<Candidate> cands;
 };
 
 struct CellOut {
@@ -131,58 +137,85 @@ struct CellOut {
 /// per-hop term).
 constexpr SimTime kExtraHopLatency = nsec(700);
 
-CellOut run_cell(const CellJob& job) {
-  const EngineConfig& cfg = *job.cfg;
-  const Scenario& sc = *job.sc;
-  CellOut out;
+/// One {seed, time-slice} cell and the read-only state its stages share.
+class Cell {
+ public:
+  Cell(const EngineConfig& cfg, const Scenario& sc, std::uint64_t seed,
+       std::int32_t slice)
+      : cfg_(cfg),
+        sc_(sc),
+        seed_(seed),
+        slice_(slice),
+        resolver_(sc.topo, cfg.hosts_per_tor),
+        dist_(workload::FlowSizeDistribution::make(cfg.workload)),
+        fluid_(fluid_config(cfg), cfg.link_rate),
+        t0_(slice * (cfg.duration_sec / cfg.slices)),
+        t1_((slice + 1) * (cfg.duration_sec / cfg.slices)) {}
 
-  const PathResolver resolver(sc.topo, cfg.hosts_per_tor);
-  const std::int64_t n_hosts = resolver.n_hosts();
-  const auto dist = workload::FlowSizeDistribution::make(cfg.workload);
-  const double mean_bytes = dist.mean_bytes();
+  CellOut run() const;
 
-  FluidConfig fl = cfg.fluid;
-  fl.load = cfg.arrivals.load_fraction;
-  if (cfg.transport == harness::Transport::kRdmaWrite) fl.host_delay = usec(6);
-  const FluidModel fluid(fl, cfg.link_rate);
+ private:
+  static FluidConfig fluid_config(const EngineConfig& cfg) {
+    FluidConfig fl = cfg.fluid;
+    fl.load = cfg.arrivals.load_fraction;
+    if (cfg.transport == harness::Transport::kRdmaWrite) fl.host_delay = usec(6);
+    return fl;
+  }
 
-  const double slice_dur = cfg.duration_sec / cfg.slices;
-  const double t1 = (job.slice + 1) * slice_dur;
-  const double t0 = job.slice * slice_dur;
+  double fluid_us(const Candidate& c) const {
+    Rng fr(c.aux);
+    const double loss =
+        c.hot_idx >= 0 ? sc_.hot[static_cast<std::size_t>(c.hot_idx)].residual
+                       : 0.0;
+    return fluid_.fct_ns(c.bytes, c.n_links, loss, fr) / 1000.0;
+  }
 
-  // Deterministically ordered packet-flow groups: victims keyed by
-  // (hot link, hop count), all-packet background by hop count.
-  std::map<std::pair<std::int32_t, std::int32_t>, std::vector<PendingFlow>>
-      victim_groups;
-  std::map<std::int32_t, std::vector<PendingFlow>> bg_groups;
-  std::int64_t victim_packet_budget = cfg.max_packet_flows_per_cell;
-  std::int64_t bg_packet_budget = cfg.max_packet_flows_per_cell;
+  BlockOut generate(std::int64_t lo, std::int64_t hi) const;
+  harness::FctConfig replay_config(std::int32_t hot_idx, std::int32_t n_links,
+                                   std::vector<std::int64_t> bytes) const;
 
-  for (std::int64_t host = 0; host < n_hosts; ++host) {
-    Rng hr = workload::stream_rng(job.seed, static_cast<std::uint64_t>(job.slice),
+  const EngineConfig& cfg_;
+  const Scenario& sc_;
+  std::uint64_t seed_;
+  std::int32_t slice_;
+  PathResolver resolver_;
+  workload::FlowSizeDistribution dist_;
+  FluidModel fluid_;
+  double t0_;
+  double t1_;
+};
+
+/// Generates every flow of hosts [lo, hi). Each host draws from its own
+/// per-(seed, slice, host) stream, so a block's output does not depend on
+/// which other blocks exist or which thread runs it.
+BlockOut Cell::generate(std::int64_t lo, std::int64_t hi) const {
+  BlockOut out;
+  const std::int64_t n_hosts = resolver_.n_hosts();
+  const double mean_bytes = dist_.mean_bytes();
+  for (std::int64_t host = lo; host < hi; ++host) {
+    Rng hr = workload::stream_rng(seed_, static_cast<std::uint64_t>(slice_),
                                   static_cast<std::uint64_t>(host));
-    workload::ArrivalProcess arrivals(cfg.arrivals, mean_bytes, hr.split());
-    double t = t0 + arrivals.next_gap_sec();
-    while (t < t1) {
+    workload::ArrivalProcess arrivals(cfg_.arrivals, mean_bytes, hr.split());
+    for (double t = t0_ + arrivals.next_gap_sec(); t < t1_;
+         t += arrivals.next_gap_sec()) {
       ++out.generated;
-      const std::int64_t bytes = dist.sample(hr);
+      const std::int64_t bytes = dist_.sample(hr);
       std::int64_t dst = static_cast<std::int64_t>(
           hr.uniform_int(static_cast<std::uint64_t>(n_hosts - 1)));
       if (dst >= host) ++dst;
       const std::uint64_t hash = hr.next_u64();
       const std::uint64_t aux = hr.next_u64();
 
-      const PathInfo path = resolver.resolve(host, dst, hash);
+      const PathInfo path = resolver_.resolve(host, dst, hash);
       if (!path.ok) {
         ++out.stranded;
-        t += arrivals.next_gap_sec();
         continue;
       }
 
       std::int32_t hot_idx = -1;
       for (std::int32_t i = 0; i < path.n_links; ++i) {
         const std::int32_t h =
-            sc.hot_index[static_cast<std::size_t>(path.links[i])];
+            sc_.hot_index[static_cast<std::size_t>(path.links[i])];
         if (h >= 0) {
           hot_idx = h;
           break;
@@ -190,450 +223,139 @@ CellOut run_cell(const CellJob& job) {
       }
       if (hot_idx >= 0) ++out.victims;
 
-      bool packetize = false;
-      if (hot_idx >= 0) {
-        // Victim: packet-level unless fluid-only, within the cell budget.
-        if (cfg.fidelity != Fidelity::kFluidOnly && victim_packet_budget > 0) {
-          packetize = true;
-          --victim_packet_budget;
-        } else if (cfg.fidelity != Fidelity::kFluidOnly) {
-          ++out.victim_fluid_fallback;
-        }
-      } else if (cfg.fidelity == Fidelity::kAllPacket && bg_packet_budget > 0) {
-        packetize = true;
-        --bg_packet_budget;
-      }
-
-      if (packetize) {
-        if (hot_idx >= 0) {
-          victim_groups[{hot_idx, path.n_links}].push_back({bytes, aux});
-        } else {
-          bg_groups[path.n_links].push_back({bytes, aux});
-        }
+      // Victims are packet-level unless fluid-only, background only in
+      // all-packet mode; either way only within the cell budget, which is
+      // resolved after generation.
+      const Candidate c{bytes, aux, hot_idx, path.n_links};
+      const bool budgeted = hot_idx >= 0
+                                ? cfg_.fidelity != Fidelity::kFluidOnly
+                                : cfg_.fidelity == Fidelity::kAllPacket;
+      if (budgeted) {
+        out.cands.push_back(c);
       } else {
-        Rng fr(aux);
-        const double loss = hot_idx >= 0 ? sc.hot[hot_idx].residual : 0.0;
-        const double fct_ns = fluid.fct_ns(bytes, path.n_links, loss, fr);
-        (hot_idx >= 0 ? out.victim_us : out.bg_us).add(fct_ns / 1000.0);
+        (hot_idx >= 0 ? out.victim_us : out.bg_us).add(fluid_us(c));
         ++out.fluid_flows;
       }
-      t += arrivals.next_gap_sec();
     }
-  }
-
-  // Packet-level runs. One harness::run_fct per group replays the group's
-  // flow sizes back-to-back over the testbed path standing in for the
-  // scenario link; hops beyond the first contribute fixed latency.
-  auto run_group = [&](const std::vector<PendingFlow>& flows,
-                       std::int32_t hot_idx, std::int32_t n_links,
-                       lgsim::PercentileTracker& into) {
-    harness::FctConfig fc;
-    fc.transport = cfg.transport;
-    fc.rate = cfg.link_rate;
-    fc.path.lg.target_loss_rate = cfg.lg_target_loss;
-    fc.path.link.prop_delay +=
-        kExtraHopLatency * std::max<std::int32_t>(0, n_links - 1);
-    if (hot_idx >= 0) {
-      const HotLink& h = sc.hot[hot_idx];
-      fc.protection =
-          h.lg ? harness::Protection::kLg : harness::Protection::kLossOnly;
-      fc.loss_rate = h.loss_rate;
-    } else {
-      fc.protection = harness::Protection::kNoLoss;
-      fc.loss_rate = 0.0;
-    }
-    fc.trial_bytes.reserve(flows.size());
-    for (const PendingFlow& f : flows) fc.trial_bytes.push_back(f.bytes);
-    // Domain-separated from the generation streams via the tag in `cell`.
-    fc.seed = workload::mix_stream(
-        job.seed,
-        0x5eedf10c00000000ULL | static_cast<std::uint64_t>(job.slice),
-        (static_cast<std::uint64_t>(hot_idx + 1) << 8) |
-            static_cast<std::uint64_t>(n_links));
-    const harness::FctResult r = harness::run_fct(fc);
-    into.merge(r.fct_us);
-    out.packet_flows += static_cast<std::int64_t>(flows.size());
-  };
-
-  for (const auto& [key, flows] : victim_groups) {
-    run_group(flows, key.first, key.second, out.victim_us);
-  }
-  for (const auto& [n_links, flows] : bg_groups) {
-    run_group(flows, -1, n_links, out.bg_us);
-  }
-
-  if (obs::TraceSink* sink = obs::current_sink()) {
-    obs::MetricsRegistry& m = sink->metrics();
-    m.counter("traffic.flows_generated") += out.generated;
-    m.counter("traffic.flows_completed") +=
-        out.generated - out.stranded;
-    m.counter("traffic.flows_stranded") += out.stranded;
-    m.counter("traffic.flows_victim") += out.victims;
-    m.counter("traffic.flows_packet") += out.packet_flows;
-    m.counter("traffic.flows_fluid") += out.fluid_flows;
-    m.counter("traffic.victim_fluid_fallback") += out.victim_fluid_fallback;
   }
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded cell (EngineConfig::shards > 1, DESIGN.md §15).
-//
-// The cell's fabric is partitioned into contiguous pod blocks
-// (fabric::PodPartition); each block gets its own shard Simulator driving its
-// hosts' arrival processes as events, and the shards advance concurrently
-// under sim::ShardedSimulator's conservative windowed sync. A flow whose
-// path crosses a hot link owned by *another* shard is handed to that shard
-// as a boundary frame — the cross-shard traffic the runtime exists for.
-//
-// Determinism (byte-identical to the unsharded cell, any shard/worker
-// count) rests on three invariants:
-//   1. Flow attributes come from the same per-(seed, slice, host) RNG
-//      streams consumed in the same per-host order, so the flow population
-//      is identical by construction.
-//   2. The cell-global packet budgets are NOT consumed at generation time
-//      (shards race for them); instead every budget-eligible flow becomes a
-//      Candidate, and after the shards quiesce the candidates are resolved
-//      in canonical (host, per-host index) order — exactly the host-major
-//      order the unsharded cell consumes the budgets in. Packetize
-//      decisions never feed back into the generators' RNG streams, which is
-//      what makes deferred resolution legal.
-//   3. Everything downstream consumes samples order-insensitively
-//      (PercentileTracker sorts on query), and replay groups — whose
-//      harness::run_fct results DO depend on trial order — are rebuilt from
-//      the canonically sorted candidates, reproducing the unsharded group
-//      contents element for element.
-
-/// Conservative lookahead window: one inter-pod hop of propagation latency,
-/// the minimum time a flow handed to another pod block's shard is in flight.
-constexpr SimTime kShardWindow = kExtraHopLatency;
-
-/// One flow whose packet/fluid decision depends on a cell-global budget;
-/// resolved after the shards quiesce in canonical (host, idx) order.
-struct Candidate {
-  std::int64_t host = 0;
-  std::int64_t idx = 0;  // per-host generation index
-  std::int64_t bytes = 0;
-  std::uint64_t aux = 0;
-  std::int32_t hot_idx = -1;  // -1: background (kAllPacket only)
-  std::int32_t n_links = 0;
-};
-
-/// One host's arrival-process generator state, advanced by its own events.
-struct HostGen {
-  Rng hr;
-  workload::ArrivalProcess arrivals;
-  double t = 0.0;  // absolute seconds; event time = (t - t0) * 1e9
-  std::int64_t idx = 0;
-  std::int64_t host = 0;
-};
-
-struct ShardCtx {
-  std::int32_t s = 0;
-  std::vector<HostGen> hosts;  // stable addresses once seeded
-  std::int64_t generated = 0;
-  std::int64_t stranded = 0;
-  std::int64_t victims = 0;
-  std::int64_t fluid_flows = 0;
-  lgsim::PercentileTracker victim_us;
-  lgsim::PercentileTracker bg_us;
-  std::vector<Candidate> victim_cands;  // owned by this shard's hot links
-  std::vector<Candidate> bg_cands;      // kAllPacket background
-};
-
-/// Read-only cell state shared by every shard's events.
-struct CellShared {
-  const EngineConfig* cfg = nullptr;
-  const Scenario* sc = nullptr;
-  const PathResolver* resolver = nullptr;
-  const workload::FlowSizeDistribution* dist = nullptr;
-  const FluidModel* fluid = nullptr;
-  sim::ShardedSimulator* ss = nullptr;
-  std::vector<ShardCtx>* shards = nullptr;
-  std::vector<std::int32_t> hot_owner;  // hot index -> owning shard
-  double t0 = 0.0;
-  double t1 = 0.0;
-};
-
-/// Generates one flow for host `g` (same draw order as the unsharded cell:
-/// bytes, dst, hash, aux) and schedules the host's next arrival.
-void step_host(CellShared& cs, ShardCtx& ctx, HostGen& g) {
-  const EngineConfig& cfg = *cs.cfg;
-  const Scenario& sc = *cs.sc;
-  ++ctx.generated;
-  const std::int64_t n_hosts = cs.resolver->n_hosts();
-  const std::int64_t bytes = cs.dist->sample(g.hr);
-  std::int64_t dst = static_cast<std::int64_t>(
-      g.hr.uniform_int(static_cast<std::uint64_t>(n_hosts - 1)));
-  if (dst >= g.host) ++dst;
-  const std::uint64_t hash = g.hr.next_u64();
-  const std::uint64_t aux = g.hr.next_u64();
-  const std::int64_t idx = g.idx++;
-
-  const PathInfo path = cs.resolver->resolve(g.host, dst, hash);
-  if (!path.ok) {
-    ++ctx.stranded;
+/// The packet-level replay of one group: its flow sizes back-to-back over
+/// the testbed path standing in for the scenario link; hops beyond the
+/// first contribute fixed latency.
+harness::FctConfig Cell::replay_config(std::int32_t hot_idx,
+                                       std::int32_t n_links,
+                                       std::vector<std::int64_t> bytes) const {
+  harness::FctConfig fc;
+  fc.transport = cfg_.transport;
+  fc.rate = cfg_.link_rate;
+  fc.path.lg.target_loss_rate = cfg_.lg_target_loss;
+  fc.path.link.prop_delay +=
+      kExtraHopLatency * std::max<std::int32_t>(0, n_links - 1);
+  if (hot_idx >= 0) {
+    const HotLink& h = sc_.hot[static_cast<std::size_t>(hot_idx)];
+    fc.protection =
+        h.lg ? harness::Protection::kLg : harness::Protection::kLossOnly;
+    fc.loss_rate = h.loss_rate;
   } else {
-    std::int32_t hot_idx = -1;
-    for (std::int32_t i = 0; i < path.n_links; ++i) {
-      const std::int32_t h =
-          sc.hot_index[static_cast<std::size_t>(path.links[i])];
-      if (h >= 0) {
-        hot_idx = h;
-        break;
-      }
-    }
-    if (hot_idx >= 0) {
-      ++ctx.victims;
-      if (cfg.fidelity == Fidelity::kFluidOnly) {
-        Rng fr(aux);
-        ctx.victim_us.add(cs.fluid->fct_ns(bytes, path.n_links,
-                                           sc.hot[hot_idx].residual, fr) /
-                          1000.0);
-        ++ctx.fluid_flows;
-      } else {
-        const Candidate cand{g.host, idx, bytes, aux, hot_idx, path.n_links};
-        const std::int32_t owner =
-            cs.hot_owner[static_cast<std::size_t>(hot_idx)];
-        if (owner == ctx.s) {
-          ctx.victim_cands.push_back(cand);
-        } else {
-          // The flow's packets cross the hot link in the owner's pod block:
-          // hand it over as a boundary frame, one lookahead window out.
-          ShardCtx* octx = &(*cs.shards)[static_cast<std::size_t>(owner)];
-          cs.ss->post(ctx.s, owner,
-                      cs.ss->shard(ctx.s).now() + cs.ss->window(),
-                      [cand, octx] { octx->victim_cands.push_back(cand); });
-        }
-      }
-    } else if (cfg.fidelity == Fidelity::kAllPacket) {
-      ctx.bg_cands.push_back({g.host, idx, bytes, aux, -1, path.n_links});
-    } else {
-      Rng fr(aux);
-      ctx.bg_us.add(cs.fluid->fct_ns(bytes, path.n_links, 0.0, fr) / 1000.0);
-      ++ctx.fluid_flows;
-    }
+    fc.protection = harness::Protection::kNoLoss;
+    fc.loss_rate = 0.0;
   }
-
-  g.t += g.arrivals.next_gap_sec();
-  if (g.t < cs.t1) {
-    cs.ss->shard(ctx.s).schedule_at(
-        static_cast<SimTime>((g.t - cs.t0) * 1e9),
-        [csp = &cs, cp = &ctx, gp = &g] { step_host(*csp, *cp, *gp); });
-  }
+  fc.trial_bytes = std::move(bytes);
+  // Domain-separated from the generation streams via the tag in `cell`.
+  fc.seed = workload::mix_stream(
+      seed_, 0x5eedf10c00000000ULL | static_cast<std::uint64_t>(slice_),
+      (static_cast<std::uint64_t>(hot_idx + 1) << 8) |
+          static_cast<std::uint64_t>(n_links));
+  return fc;
 }
 
-CellOut run_cell_sharded(const CellJob& job) {
-  const EngineConfig& cfg = *job.cfg;
-  const Scenario& sc = *job.sc;
-  const fabric::PodPartition& part = *job.part;
+/// The cell pipeline (DESIGN.md §15), one path for every shard count:
+///   1. generate cfg.shards contiguous host blocks in parallel;
+///   2. concatenate them in block order — (host, per-host index) order —
+///      and resolve the two packet budgets in that order;
+///   3. replay the packet groups in parallel.
+/// Packetize decisions never feed back into the generators' RNG streams,
+/// which is what makes deferring the budgets to step 2 legal. Samples merge
+/// order-insensitively (PercentileTracker sorts on query), and each group's
+/// trial order and seed are fixed by step 2, so the result is byte-identical
+/// for any shard count.
+CellOut Cell::run() const {
   CellOut out;
+  const std::int64_t n_hosts = resolver_.n_hosts();
+  const auto workers = static_cast<unsigned>(cfg_.shards);
+  const std::int64_t k = std::min<std::int64_t>(cfg_.shards, n_hosts);
 
-  const PathResolver resolver(sc.topo, cfg.hosts_per_tor);
-  const auto dist = workload::FlowSizeDistribution::make(cfg.workload);
-  const double mean_bytes = dist.mean_bytes();
+  std::vector<std::int64_t> block_ends;
+  for (std::int64_t b = 1; b <= k; ++b) block_ends.push_back(b * n_hosts / k);
+  std::vector<BlockOut> blocks = harness::parallel_map(
+      block_ends,
+      [&](std::int64_t hi, std::size_t b) {
+        return generate(b == 0 ? 0 : block_ends[b - 1], hi);
+      },
+      workers);
 
-  FluidConfig fl = cfg.fluid;
-  fl.load = cfg.arrivals.load_fraction;
-  if (cfg.transport == harness::Transport::kRdmaWrite) fl.host_delay = usec(6);
-  const FluidModel fluid(fl, cfg.link_rate);
+  // Groups keyed {background?, hot link, hop count}: victim groups first.
+  std::map<std::tuple<bool, std::int32_t, std::int32_t>,
+           std::vector<std::int64_t>>
+      groups;
+  std::int64_t victim_budget = cfg_.max_packet_flows_per_cell;
+  std::int64_t bg_budget = cfg_.max_packet_flows_per_cell;
+  for (BlockOut& b : blocks) {
+    out.generated += b.generated;
+    out.stranded += b.stranded;
+    out.victims += b.victims;
+    out.fluid_flows += b.fluid_flows;
+    out.victim_us.merge(b.victim_us);
+    out.bg_us.merge(b.bg_us);
+    for (const Candidate& c : b.cands) {
+      const bool victim = c.hot_idx >= 0;
+      std::int64_t& budget = victim ? victim_budget : bg_budget;
+      if (budget > 0) {
+        --budget;
+        groups[{!victim, c.hot_idx, c.n_links}].push_back(c.bytes);
+      } else {
+        if (victim) ++out.victim_fluid_fallback;
+        (victim ? out.victim_us : out.bg_us).add(fluid_us(c));
+        ++out.fluid_flows;
+      }
+    }
+  }
 
-  const double slice_dur = cfg.duration_sec / cfg.slices;
-  const double t0 = job.slice * slice_dur;
-  const double t1 = (job.slice + 1) * slice_dur;
+  std::vector<harness::FctConfig> replays;
+  replays.reserve(groups.size());
+  std::size_t victim_groups = 0;
+  for (auto& [key, bytes] : groups) {
+    if (!std::get<0>(key)) ++victim_groups;
+    out.packet_flows += static_cast<std::int64_t>(bytes.size());
+    replays.push_back(replay_config(std::get<1>(key), std::get<2>(key),
+                                    std::move(bytes)));
+  }
 
-  const std::int32_t K = part.n_shards();
-  const unsigned workers =
-      cfg.shard_workers > 0 ? static_cast<unsigned>(cfg.shard_workers) : 0;
-  sim::ShardedSimulator ss(K, kShardWindow);
-  if (K > 1) ss.connect_all(kShardWindow);
-
-  std::vector<ShardCtx> shards(static_cast<std::size_t>(K));
-  CellShared cs;
-  cs.cfg = &cfg;
-  cs.sc = &sc;
-  cs.resolver = &resolver;
-  cs.dist = &dist;
-  cs.fluid = &fluid;
-  cs.ss = &ss;
-  cs.shards = &shards;
-  cs.t0 = t0;
-  cs.t1 = t1;
-  cs.hot_owner.reserve(sc.hot.size());
-  for (const HotLink& h : sc.hot)
-    cs.hot_owner.push_back(part.shard_of_link(sc.topo.link(h.id)));
-
-  // Per-shard sinks when this cell is traced: window execution happens on
-  // shard workers, so emissions must not race on the cell's sink. Absorbed
-  // into it in shard order below — a scheduling-independent merge.
+  // Worker threads start with no trace sink: when the cell is traced and the
+  // replay fans out, each group records into its own sink, absorbed into the
+  // cell's in group order so the trace does not depend on scheduling.
   obs::TraceSink* cell_sink = obs::current_sink();
-  std::vector<std::unique_ptr<obs::TraceSink>> shard_sinks;
-  if (cell_sink != nullptr) {
-    for (std::int32_t s = 0; s < K; ++s) {
-      shard_sinks.push_back(
-          std::make_unique<obs::TraceSink>("shard " + std::to_string(s)));
-      ss.set_shard_sink(s, shard_sinks.back().get());
-    }
+  std::deque<obs::TraceSink> group_sinks;
+  if (cell_sink != nullptr && workers > 1) {
+    for (std::size_t i = 0; i < replays.size(); ++i)
+      group_sinks.emplace_back("replay group " + std::to_string(i));
   }
-
-  // Seed every host's generator with its first arrival. Draw order per host
-  // is identical to the unsharded cell: stream rng, arrivals split, first
-  // gap. Events are scheduled after the shard's host vector is final so the
-  // HostGen addresses captured by the callbacks are stable.
-  for (std::int32_t s = 0; s < K; ++s) {
-    ShardCtx& ctx = shards[static_cast<std::size_t>(s)];
-    ctx.s = s;
-    const std::int64_t lo = part.first_host(s, cfg.topo, cfg.hosts_per_tor);
-    const std::int64_t hi =
-        part.first_host(s + 1, cfg.topo, cfg.hosts_per_tor);
-    ctx.hosts.reserve(static_cast<std::size_t>(hi - lo));
-    for (std::int64_t host = lo; host < hi; ++host) {
-      Rng hr = workload::stream_rng(job.seed,
-                                    static_cast<std::uint64_t>(job.slice),
-                                    static_cast<std::uint64_t>(host));
-      workload::ArrivalProcess arrivals(cfg.arrivals, mean_bytes, hr.split());
-      const double t = t0 + arrivals.next_gap_sec();
-      if (!(t < t1)) continue;  // host generates nothing this slice
-      ctx.hosts.push_back(
-          HostGen{std::move(hr), std::move(arrivals), t, 0, host});
-    }
-    for (HostGen& g : ctx.hosts) {
-      ss.shard(s).schedule_at(
-          static_cast<SimTime>((g.t - t0) * 1e9),
-          [csp = &cs, cp = &ctx, gp = &g] { step_host(*csp, *cp, *gp); });
-    }
-  }
-
-  // Horizon: every generation event fires before slice_dur, every boundary
-  // frame lands one window later; +2 windows covers both with margin.
-  const SimTime until =
-      static_cast<SimTime>(slice_dur * 1e9) + 2 * kShardWindow;
-  ss.run(until, workers);
+  const std::vector<harness::FctResult> results = harness::parallel_map(
+      replays,
+      [&](const harness::FctConfig& fc, std::size_t i) {
+        if (group_sinks.empty()) return harness::run_fct(fc);
+        obs::SinkScope scope(&group_sinks[i]);
+        return harness::run_fct(fc);
+      },
+      workers);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    (i < victim_groups ? out.victim_us : out.bg_us).merge(results[i].fct_us);
+  for (const obs::TraceSink& s : group_sinks) cell_sink->absorb(s);
 
   if (cell_sink != nullptr) {
-    for (const auto& sp : shard_sinks) cell_sink->absorb(*sp);
-  }
-
-  // Fold per-shard generation outputs and gather candidates, in shard order.
-  std::vector<Candidate> victim_cands;
-  std::vector<Candidate> bg_cands;
-  for (ShardCtx& ctx : shards) {
-    out.generated += ctx.generated;
-    out.stranded += ctx.stranded;
-    out.victims += ctx.victims;
-    out.fluid_flows += ctx.fluid_flows;
-    out.victim_us.merge(ctx.victim_us);
-    out.bg_us.merge(ctx.bg_us);
-    victim_cands.insert(victim_cands.end(), ctx.victim_cands.begin(),
-                        ctx.victim_cands.end());
-    bg_cands.insert(bg_cands.end(), ctx.bg_cands.begin(),
-                    ctx.bg_cands.end());
-  }
-
-  // Canonical budget resolution: (host, idx) order == the host-major order
-  // the unsharded cell consumes its budgets in.
-  const auto by_gen_order = [](const Candidate& a, const Candidate& b) {
-    return a.host != b.host ? a.host < b.host : a.idx < b.idx;
-  };
-  std::sort(victim_cands.begin(), victim_cands.end(), by_gen_order);
-  std::sort(bg_cands.begin(), bg_cands.end(), by_gen_order);
-
-  std::map<std::pair<std::int32_t, std::int32_t>, std::vector<PendingFlow>>
-      victim_groups;
-  std::map<std::int32_t, std::vector<PendingFlow>> bg_groups;
-  std::int64_t victim_budget = cfg.max_packet_flows_per_cell;
-  for (const Candidate& c : victim_cands) {
-    if (victim_budget > 0) {
-      --victim_budget;
-      victim_groups[{c.hot_idx, c.n_links}].push_back({c.bytes, c.aux});
-    } else {
-      ++out.victim_fluid_fallback;
-      Rng fr(c.aux);
-      out.victim_us.add(
-          fluid.fct_ns(c.bytes, c.n_links,
-                       sc.hot[static_cast<std::size_t>(c.hot_idx)].residual,
-                       fr) /
-          1000.0);
-      ++out.fluid_flows;
-    }
-  }
-  std::int64_t bg_budget = cfg.max_packet_flows_per_cell;
-  for (const Candidate& c : bg_cands) {
-    if (bg_budget > 0) {
-      --bg_budget;
-      bg_groups[c.n_links].push_back({c.bytes, c.aux});
-    } else {
-      Rng fr(c.aux);
-      out.bg_us.add(fluid.fct_ns(c.bytes, c.n_links, 0.0, fr) / 1000.0);
-      ++out.fluid_flows;
-    }
-  }
-
-  // Packet-level replay, fanned out over the shard worker pool. Group
-  // configs and seeds match the unsharded run_group exactly; results merge
-  // in canonical group order regardless of which worker ran what. When the
-  // cell is traced, each group gets a local sink (run_fct's probes would
-  // otherwise race on the cell sink across workers), absorbed in order.
-  struct GroupJob {
-    const std::vector<PendingFlow>* flows;
-    std::int32_t hot_idx;
-    std::int32_t n_links;
-    bool victim;
-  };
-  std::vector<GroupJob> gjobs;
-  gjobs.reserve(victim_groups.size() + bg_groups.size());
-  for (const auto& [key, flows] : victim_groups)
-    gjobs.push_back({&flows, key.first, key.second, true});
-  for (const auto& [n_links, flows] : bg_groups)
-    gjobs.push_back({&flows, -1, n_links, false});
-
-  std::vector<harness::FctResult> gres(gjobs.size());
-  std::vector<std::unique_ptr<obs::TraceSink>> group_sinks;
-  if (cell_sink != nullptr) {
-    group_sinks.reserve(gjobs.size());
-    for (std::size_t i = 0; i < gjobs.size(); ++i)
-      group_sinks.push_back(std::make_unique<obs::TraceSink>(
-          "replay group " + std::to_string(i)));
-  }
-  sim::run_indexed(gjobs.size(), workers, [&](std::size_t i) {
-    const GroupJob& gj = gjobs[i];
-    harness::FctConfig fc;
-    fc.transport = cfg.transport;
-    fc.rate = cfg.link_rate;
-    fc.path.lg.target_loss_rate = cfg.lg_target_loss;
-    fc.path.link.prop_delay +=
-        kExtraHopLatency * std::max<std::int32_t>(0, gj.n_links - 1);
-    if (gj.hot_idx >= 0) {
-      const HotLink& h = sc.hot[static_cast<std::size_t>(gj.hot_idx)];
-      fc.protection =
-          h.lg ? harness::Protection::kLg : harness::Protection::kLossOnly;
-      fc.loss_rate = h.loss_rate;
-    } else {
-      fc.protection = harness::Protection::kNoLoss;
-      fc.loss_rate = 0.0;
-    }
-    fc.trial_bytes.reserve(gj.flows->size());
-    for (const PendingFlow& f : *gj.flows) fc.trial_bytes.push_back(f.bytes);
-    fc.seed = workload::mix_stream(
-        job.seed,
-        0x5eedf10c00000000ULL | static_cast<std::uint64_t>(job.slice),
-        (static_cast<std::uint64_t>(gj.hot_idx + 1) << 8) |
-            static_cast<std::uint64_t>(gj.n_links));
-    if (!group_sinks.empty()) {
-      obs::SinkScope scope(group_sinks[i].get());
-      gres[i] = harness::run_fct(fc);
-    } else {
-      gres[i] = harness::run_fct(fc);
-    }
-  });
-  for (std::size_t i = 0; i < gjobs.size(); ++i) {
-    (gjobs[i].victim ? out.victim_us : out.bg_us).merge(gres[i].fct_us);
-    out.packet_flows += static_cast<std::int64_t>(gjobs[i].flows->size());
-    if (cell_sink != nullptr) cell_sink->absorb(*group_sinks[i]);
-  }
-
-  if (obs::TraceSink* sink = obs::current_sink()) {
-    obs::MetricsRegistry& m = sink->metrics();
+    obs::MetricsRegistry& m = cell_sink->metrics();
     m.counter("traffic.flows_generated") += out.generated;
     m.counter("traffic.flows_completed") += out.generated - out.stranded;
     m.counter("traffic.flows_stranded") += out.stranded;
@@ -643,6 +365,25 @@ CellOut run_cell_sharded(const CellJob& job) {
     m.counter("traffic.victim_fluid_fallback") += out.victim_fluid_fallback;
   }
   return out;
+}
+
+/// Rejects configurations the engine cannot run (the TopologyConfig
+/// pattern: fail loudly instead of running something else).
+void validate(const EngineConfig& cfg) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("EngineConfig: ") + what);
+  };
+  if (cfg.slices < 1) fail("slices must be >= 1");
+  if (cfg.seeds.empty()) fail("seeds must not be empty");
+  if (!(cfg.duration_sec > 0.0)) fail("duration_sec must be > 0");
+  if (cfg.hosts_per_tor < 1) fail("hosts_per_tor must be >= 1");
+  // In double: the topology's own dimension checks have not run yet.
+  if (static_cast<double>(cfg.topo.pods) * cfg.topo.tors_per_pod *
+          cfg.hosts_per_tor < 2.0)
+    fail("the fabric needs at least 2 hosts");
+  if (cfg.shards < 1) fail("shards must be >= 1");
+  if (cfg.max_packet_flows_per_cell < 0)
+    fail("max_packet_flows_per_cell must be >= 0");
 }
 
 }  // namespace
@@ -671,21 +412,19 @@ void TrafficResult::export_metrics(obs::MetricsRegistry& m) const {
 }
 
 TrafficResult run_traffic(const EngineConfig& cfg, unsigned jobs) {
+  validate(cfg);
   const Scenario sc = build_scenario(cfg);
-  // shards <= 1 takes the original single-Simulator cell path untouched —
-  // the golden reference the sharded path is pinned byte-identical to.
-  const bool sharded = cfg.shards > 1;
-  const fabric::PodPartition part =
-      fabric::PodPartition::make(cfg.topo, cfg.shards);
 
+  struct CellJob {
+    std::uint64_t seed;
+    std::int32_t slice;
+  };
   harness::ParallelRunner<CellJob, CellOut> pool(
-      [sharded](const CellJob& j) {
-        return sharded ? run_cell_sharded(j) : run_cell(j);
-      },
+      [&](const CellJob& j) { return Cell(cfg, sc, j.seed, j.slice).run(); },
       jobs == 0 ? harness::bench_jobs() : jobs);
   for (const std::uint64_t seed : cfg.seeds) {
     for (std::int32_t sl = 0; sl < cfg.slices; ++sl) {
-      pool.add(seed, CellJob{&cfg, &sc, &part, seed, sl});
+      pool.add(seed, CellJob{seed, sl});
     }
   }
   const std::vector<CellOut> cells = pool.run_in_grid_order();

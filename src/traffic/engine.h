@@ -21,13 +21,19 @@
 //     penalties sampled from the scenario's residual-loss rates. Scaling
 //     sanity mode.
 //
-// Determinism contract (the ParallelRunner one): the run is sharded into
+// Determinism contract (the ParallelRunner one): the run is split into
 // {seed x time-slice} cells; each cell draws every flow attribute from
 // per-(seed, slice, host) RNG streams (workload::stream_rng) and victim
 // packet simulations from per-(seed, slice, link) seeds, so the merged
 // TrafficResult is byte-identical for any LGSIM_BENCH_JOBS. Flow *generation*
 // draws an identical RNG sequence at every fidelity, which is what makes the
 // victim sets — and hence the differential test — line up across modes.
+//
+// Inside a cell (DESIGN.md §15), EngineConfig::shards contiguous host blocks
+// generate in parallel, the cell's packet budgets are resolved in (host,
+// per-host index) order, and the packet groups replay in parallel — so the
+// result is also byte-identical for any shard count. A run uses up to
+// jobs x shards threads; callers choose both.
 #pragma once
 
 #include <cstdint>
@@ -88,15 +94,12 @@ struct EngineConfig {
   std::int64_t max_packet_flows_per_cell = 4096;
   FluidConfig fluid;
 
-  // --- intra-run sharding (DESIGN.md §15) ------------------------------
-  /// > 1 partitions each cell's fabric into contiguous pod blocks and runs
-  /// them as sim::ShardedSimulator shards coupled by boundary channels
-  /// (clamped to the pod count). Results are byte-identical to shards == 1
-  /// — the shard-identity tests pin it — so this is a wall-clock knob only.
+  // --- intra-cell parallelism (DESIGN.md §15) --------------------------
+  /// Host blocks per cell (clamped to the host count), and the worker count
+  /// for that cell's generation and replay. Results are byte-identical for
+  /// any value — the shard-identity tests pin it — so this is a wall-clock
+  /// knob only.
   std::int32_t shards = 1;
-  /// Worker threads inside a sharded cell: 0 sizes from the shared core
-  /// budget (util/cores.h); any value produces identical bytes.
-  std::int32_t shard_workers = 0;
 };
 
 /// A corrupting link CorrOpt had to keep active (the victim-making links).
@@ -143,7 +146,9 @@ struct TrafficResult {
 
 /// Runs the full {seeds x slices} cell grid. jobs == 0 uses
 /// harness::bench_jobs() (LGSIM_BENCH_JOBS); any value merges to the same
-/// bytes.
+/// bytes. Throws std::invalid_argument on a config it cannot run (no slices
+/// or seeds, a non-positive duration, fewer than 2 hosts, shards < 1, a
+/// negative packet budget) or an invalid topology.
 TrafficResult run_traffic(const EngineConfig& cfg, unsigned jobs = 0);
 
 }  // namespace lgsim::traffic

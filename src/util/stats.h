@@ -89,7 +89,7 @@ class PercentileTracker {
 
   /// Summed in sorted order so the mean — like every percentile — is a pure
   /// function of the sample *multiset*: trackers filled in different orders
-  /// (per-shard trackers merged at join) report bit-identical means.
+  /// (per-block trackers merged at join) report bit-identical means.
   double mean() const {
     if (samples_.empty()) return 0.0;
     ensure_sorted();

@@ -12,9 +12,9 @@
 // burstiness, sigma -> 0 degenerates to deterministic spacing).
 //
 // Determinism: generators are seeded per (run seed, cell, host) via
-// stream_rng(), a SplitMix64-style mix, so every {seed x time-slice} cell of
-// a sharded run draws an independent, scheduling-independent stream — the
-// property the traffic engine's byte-identical-across-LGSIM_BENCH_JOBS
+// stream_rng(), a SplitMix64-style mix, so every host of every {seed x
+// time-slice} cell draws an independent, scheduling-independent stream — the
+// property the traffic engine's byte-identical-for-any-job-and-shard-count
 // contract rests on. Restarting a Poisson process at a slice boundary is
 // still a Poisson process (memorylessness), so slicing a run's horizon does
 // not change the offered load's law.

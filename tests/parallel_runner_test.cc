@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "harness/fct.h"
 #include "harness/parallel.h"
 #include "harness/stress.h"
+#include "obs/trace.h"
 #include "sim/random.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -205,6 +207,61 @@ TEST(ParallelDifferential, FctPercentileRowsIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(serial, parallel);
   const auto parallel2 = run_fct_rows(4);
   EXPECT_EQ(parallel, parallel2);
+}
+
+// Nested fan-out, the traffic engine's intra-cell pattern (DESIGN.md §15):
+// parallel_map inside ParallelRunner cells, each inner item tracing into its
+// own sink that the cell absorbs in item order. Rows and trace sizes must
+// not depend on the outer or inner worker count.
+std::vector<std::string> run_nested_rows(unsigned outer, unsigned inner) {
+  obs::TraceCollector collector;
+  collector.install();
+  ParallelRunner<std::uint64_t, std::string> runner(
+      [inner](const std::uint64_t& seed) {
+        std::vector<FctConfig> items;
+        for (Protection pr : {Protection::kNoLoss, Protection::kLg,
+                              Protection::kLgNb, Protection::kLossOnly}) {
+          FctConfig c;
+          c.protection = pr;
+          c.trials = 60;
+          c.loss_rate = 5e-3;
+          c.seed = seed * 10 + static_cast<std::uint64_t>(pr);
+          items.push_back(c);
+        }
+        std::deque<obs::TraceSink> sinks;
+        for (std::size_t i = 0; i < items.size(); ++i)
+          sinks.emplace_back("item " + std::to_string(i));
+        const auto results = parallel_map(
+            items,
+            [&](const FctConfig& c, std::size_t i) {
+              obs::SinkScope scope(&sinks[i]);
+              return run_fct(c);
+            },
+            inner);
+        obs::TraceSink* cell = obs::current_sink();
+        std::string row;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          row += fct_row(results[i]) + ";";
+          cell->absorb(sinks[i]);
+        }
+        return row + std::to_string(cell->ring().size()) + " records";
+      },
+      outer);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) runner.add(seed, seed);
+  const auto rows = runner.run_in_grid_order();
+  collector.uninstall();
+  return rows;
+}
+
+TEST(ParallelMap, NestedInsideRunnerIsIdenticalAcrossWorkerCounts) {
+  const auto ref = run_nested_rows(1, 1);
+  ASSERT_EQ(ref.size(), 3u);
+  for (unsigned outer : {1u, 4u}) {
+    for (unsigned inner : {1u, 4u}) {
+      EXPECT_EQ(run_nested_rows(outer, inner), ref)
+          << "outer " << outer << ", inner " << inner;
+    }
+  }
 }
 
 // Loss-bucket histogram sweep (the Table-1 pattern): chunked sampling with

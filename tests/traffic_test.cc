@@ -1,10 +1,16 @@
 // Tests for the fabric-scale hybrid-fidelity traffic engine (src/traffic).
 #include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "corropt/corropt.h"
+#include "obs/trace.h"
 #include "traffic/engine.h"
 #include "traffic/fluid.h"
 #include "traffic/path.h"
@@ -287,15 +293,14 @@ TEST(TrafficEngine, VictimOverflowFallsBackToFluid) {
 }
 
 TEST(TrafficEngineShard, ShardedRunIsByteIdenticalToUnsharded) {
-  // The sharded runtime is a wall-clock knob only: the same configuration at
-  // shards 1, 2 and 8 (clamped to the 2 pods) must merge to the same bytes,
-  // at any cell-job and shard-worker count.
+  // Host blocks are a wall-clock knob only: the same configuration at shards
+  // 1, 2, 8 and 64 (more blocks than the 16 hosts, clamped) must merge to the
+  // same bytes, at any cell-job count.
   const TrafficResult ref = run_traffic(small_cfg(), 2);
   ASSERT_GT(ref.victims, 0);
-  for (std::int32_t shards : {2, 8}) {
+  for (std::int32_t shards : {2, 8, 64}) {
     EngineConfig c = small_cfg();
     c.shards = shards;
-    c.shard_workers = 2;
     const TrafficResult r = run_traffic(c, 2);
     EXPECT_EQ(r.generated, ref.generated) << shards << " shards";
     EXPECT_EQ(r.completed, ref.completed);
@@ -310,22 +315,98 @@ TEST(TrafficEngineShard, ShardedRunIsByteIdenticalToUnsharded) {
 }
 
 TEST(TrafficEngineShard, ShardedBudgetFallbackMatchesUnsharded) {
-  // The per-cell packet budget is resolved canonically after the sharded
-  // generation pass, so even a saturated budget (every decision order-
-  // sensitive) must reproduce the legacy fallback accounting.
+  // The per-cell packet budget is resolved in (host, per-host index) order
+  // after the blocks are generated, so even a saturated budget (every
+  // decision order-sensitive) must reproduce the shards=1 fallback
+  // accounting.
   EngineConfig base = small_cfg();
   base.max_packet_flows_per_cell = 1;
   const TrafficResult ref = run_traffic(base, 1);
   ASSERT_GT(ref.victim_fluid_fallback, 0);
   EngineConfig c = base;
   c.shards = 2;
-  c.shard_workers = 2;
   const TrafficResult r = run_traffic(c, 2);
   EXPECT_EQ(r.victim_fluid_fallback, ref.victim_fluid_fallback);
   EXPECT_EQ(r.packet_flows, ref.packet_flows);
   EXPECT_EQ(r.fluid_flows, ref.fluid_flows);
   EXPECT_TRUE(same_samples(r.fct_victim_us, ref.fct_victim_us));
   EXPECT_TRUE(same_samples(r.fct_bg_us, ref.fct_bg_us));
+}
+
+TEST(TrafficEngineShard, TracedRunIsIdenticalAcrossShardsAndJobs) {
+  // A traced cell whose replay fans out records each packet group into its
+  // own sink and absorbs them in group order; every cell sink must end up
+  // exactly as the serial replay leaves it.
+  using Records =
+      std::vector<std::tuple<SimTime, std::string, int, int, int,
+                             std::int64_t, std::int64_t>>;
+  struct Traced {
+    std::vector<std::pair<std::string, double>> metrics;
+    Records records;
+    bool operator==(const Traced&) const = default;
+  };
+  const auto traced = [](std::int32_t shards, unsigned jobs) {
+    EngineConfig c = small_cfg();
+    c.shards = shards;
+    obs::TraceCollector collector;
+    collector.install();
+    run_traffic(c, jobs);
+    collector.uninstall();
+    std::vector<Traced> cells;
+    for (std::size_t i = 0; i < collector.sink_count(); ++i) {
+      const obs::TraceSink& s = collector.sink(i);
+      Traced t{s.metrics().snapshot(), {}};
+      for (std::size_t r = 0; r < s.ring().size(); ++r) {
+        const obs::TraceRecord& rec = s.ring().at(r);
+        t.records.emplace_back(rec.ts, s.actor_name(rec.actor),
+                               static_cast<int>(rec.cat),
+                               static_cast<int>(rec.kind), rec.aux, rec.a,
+                               rec.b);
+      }
+      cells.push_back(std::move(t));
+    }
+    return cells;
+  };
+  const std::vector<Traced> ref = traced(1, 1);
+  ASSERT_EQ(ref.size(), 8u);  // 2 seeds x 4 slices
+  ASSERT_FALSE(ref.front().metrics.empty());
+  ASSERT_FALSE(ref.front().records.empty());
+  for (std::int32_t shards : {1, 4}) {
+    for (unsigned jobs : {1u, 2u}) {
+      EXPECT_TRUE(traced(shards, jobs) == ref)
+          << shards << " shards, " << jobs << " jobs";
+    }
+  }
+}
+
+TEST(TrafficEngine, RejectsInvalidConfigs) {
+  const std::pair<const char*, void (*)(EngineConfig&)> bad[] = {
+      {"slices", [](EngineConfig& c) { c.slices = 0; }},
+      {"seeds", [](EngineConfig& c) { c.seeds.clear(); }},
+      {"duration_sec", [](EngineConfig& c) { c.duration_sec = 0.0; }},
+      {"duration_sec", [](EngineConfig& c) { c.duration_sec = -1.0; }},
+      {"hosts_per_tor", [](EngineConfig& c) { c.hosts_per_tor = 0; }},
+      {"2 hosts",
+       [](EngineConfig& c) {
+         c.topo.pods = 1;
+         c.topo.tors_per_pod = 1;
+         c.hosts_per_tor = 1;
+       }},
+      {"shards", [](EngineConfig& c) { c.shards = 0; }},
+      {"max_packet_flows_per_cell",
+       [](EngineConfig& c) { c.max_packet_flows_per_cell = -1; }},
+  };
+  for (const auto& [what, mutate] : bad) {
+    EngineConfig c = small_cfg();
+    mutate(c);
+    try {
+      run_traffic(c, 1);
+      ADD_FAILURE() << "accepted a config with bad " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TrafficEngine, ExportMetricsMirrorsCounters) {
