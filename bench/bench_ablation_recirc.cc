@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
     c.loss_rate = 1e-3;
     c.packets = bench::scaled(400'000, 50'000);
     c.seed = 41;
-    StressConfig cc = c;
-    cc.lg = lg::tuned_for_rate(cc.lg, cc.rate);
-    cc.lg.recirc_loop = loop;
-    const StressResult r = run_stress_with_config(cc);
+    c.lg = lg::tuned_for_rate(c.lg, c.rate);
+    c.lg.recirc_loop = loop;
+    c.tune_for_rate = false;
+    const StressResult r = run_stress(c);
     t.add_row({TablePrinter::fmt(to_usec(loop), 2),
                TablePrinter::fmt(r.retx_delay_us.percentile(50), 2) + " / " +
                    TablePrinter::fmt(r.retx_delay_us.max(), 2),

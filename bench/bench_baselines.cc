@@ -156,13 +156,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::string>{"onset", "flap-storm"}
             : fault::scenario_names();
 
-  harness::ParallelRunner<Cell, double> runner(
-      [](const Cell& c) {
-        return c.kind == Cell::Kind::kGrid ? bench::run_goodput(c.grid)
-                                           : run_fault_goodput(c.fault);
-      },
-      bench::jobs());
-
+  std::vector<Cell> grid;
   auto add_grid = [&](bench::Scheme s, net::LossSpec::Kind kind, double rate) {
     Cell c;
     c.kind = Cell::Kind::kGrid;
@@ -171,7 +165,7 @@ int main(int argc, char** argv) {
     c.grid.loss.rate = rate;
     c.grid.loss.mean_burst = 4.0;
     c.grid.duration = duration;
-    return runner.add(/*seed=*/5, c);
+    grid.push_back(c);
   };
 
   for (bench::Scheme s : kSchemes)
@@ -185,11 +179,15 @@ int main(int argc, char** argv) {
       c.kind = Cell::Kind::kFault;
       c.fault.scheme = s;
       c.fault.scenario = sc;
-      runner.add(/*seed=*/5, c);
+      grid.push_back(c);
     }
   }
 
-  const std::vector<double> results = runner.run_in_grid_order();
+  const std::vector<double> results =
+      harness::run_grid(grid, [](const Cell& c) {
+        return c.kind == Cell::Kind::kGrid ? bench::run_goodput(c.grid)
+                                           : run_fault_goodput(c.fault);
+      });
   std::vector<JsonRow> rows;
   std::size_t next = 0;
 

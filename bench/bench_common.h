@@ -50,16 +50,12 @@ inline void banner(const char* id, const char* title) {
   std::printf("================================================================\n");
 }
 
-/// Worker count for replication sweeps (LGSIM_BENCH_JOBS). Deliberately not
-/// printed in banner(): output must stay byte-identical across job counts.
-inline unsigned jobs() { return harness::bench_jobs(); }
-
 /// Per-binary trace capture: construct first thing in main(). Activated by
 /// `--trace=<path>` or LGSIM_TRACE=<path> (flag wins); otherwise inert.
 ///
 /// When active it installs a process-global obs::TraceCollector plus a "main"
-/// sink for code running on the main thread; harness::ParallelRunner then
-/// adds one sink per replication cell in grid order. The destructor writes
+/// sink for code running on the main thread; harness::run_grid then adds one
+/// sink per replication cell in grid order. The destructor writes
 /// everything as Chrome trace-event JSON (open the file in Perfetto /
 /// chrome://tracing). The completion note goes to stderr: stdout rows must
 /// stay byte-identical whether or not a trace is being captured.

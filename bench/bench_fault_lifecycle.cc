@@ -11,7 +11,7 @@
 // lost(after) == 0: a live ordered-mode switchover masks every corruption
 // loss from the moment it engages; the SUMMARY line asserts it.
 //
-// Output is byte-identical for any LGSIM_BENCH_JOBS (ParallelRunner merge
+// Output is byte-identical for any LGSIM_BENCH_JOBS (harness::run_grid merge
 // order + per-cell determinism); diff two runs to verify.
 #include <cstdio>
 #include <string>

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "harness/parallel.h"
 #include "harness/stress.h"
 #include "lg/config.h"
 #include "util/table.h"
@@ -47,7 +48,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::vector<StressResult> results = harness::run_stress_grid(grid);
+  const std::vector<StressResult> results =
+      harness::run_grid(grid, harness::run_stress);
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const StressConfig& c = grid[i];

@@ -5,6 +5,7 @@
 
 #include "bench_common.h"
 #include "harness/fct.h"
+#include "harness/parallel.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   tc.flow_bytes = 143;
   tc.trials = bench::scaled(100'000, 2'000);
   tc.seed_base = 1000;
-  const std::vector<FctResult> results = run_fct_grid(bench::fct_grid(tc));
+  const std::vector<FctResult> results = run_grid(bench::fct_grid(tc), run_fct);
 
   std::size_t i = 0;
   for (Transport tr : {Transport::kDctcp, Transport::kRdmaWrite}) {

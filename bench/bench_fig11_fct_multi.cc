@@ -5,6 +5,7 @@
 
 #include "bench_common.h"
 #include "harness/fct.h"
+#include "harness/parallel.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
   tc.seed_base = 2000;
   tc.seed_protection_stride = 7;
   tc.seed_transport_stride = 31;
-  const std::vector<FctResult> results = run_fct_grid(bench::fct_grid(tc));
+  const std::vector<FctResult> results = run_grid(bench::fct_grid(tc), run_fct);
 
   std::size_t i = 0;
   for (Transport tr : {Transport::kDctcp, Transport::kBbr, Transport::kRdmaWrite}) {

@@ -5,6 +5,7 @@
 
 #include "bench_common.h"
 #include "harness/fct.h"
+#include "harness/parallel.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
   tc.trials = bench::scaled(4'000, 300);
   tc.inter_trial_gap = usec(50);
   tc.seed_base = 3000;
-  const std::vector<FctResult> results = run_fct_grid(bench::fct_grid(tc));
+  const std::vector<FctResult> results = run_grid(bench::fct_grid(tc), run_fct);
 
   std::size_t i = 0;
   for (Protection pr : {Protection::kNoLoss, Protection::kLg, Protection::kLgNb,

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
 
   // The four year-scale deployment runs (2 constraints x 2 strategies) are
   // the wall-clock hot spot; fan them out over LGSIM_BENCH_JOBS workers.
-  harness::ParallelRunner<DeploymentConfig, DeploymentResult> runner(
-      [](const DeploymentConfig& c) { return run_deployment(c); });
+  std::vector<DeploymentConfig> grid;
   for (double constraint : {0.50, 0.75}) {
     for (bool lg : {false, true}) {
       DeploymentConfig c;
@@ -38,10 +37,11 @@ int main(int argc, char** argv) {
       c.use_linkguardian = lg;
       c.sample_period_hours = 1.0;
       c.seed = 7;  // same trace for both strategies
-      runner.add(c.seed, c);
+      grid.push_back(c);
     }
   }
-  const std::vector<DeploymentResult> results = runner.run_in_grid_order();
+  const std::vector<DeploymentResult> results =
+      harness::run_grid(grid, run_deployment);
 
   std::size_t i = 0;
   for (double constraint : {0.50, 0.75}) {

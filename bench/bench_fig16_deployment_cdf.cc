@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   // All four year-long runs (2 constraints x {vanilla, LG}) fanned out over
   // LGSIM_BENCH_JOBS workers; the CDF pairing below consumes them in grid
   // order, so output is byte-identical to the old serial calls.
-  harness::ParallelRunner<DeploymentConfig, DeploymentResult> runner(
-      [](const DeploymentConfig& c) { return run_deployment(c); });
+  std::vector<DeploymentConfig> grid;
   for (double constraint : {0.50, 0.75}) {
     for (bool lg : {false, true}) {
       DeploymentConfig c;
@@ -35,10 +34,11 @@ int main(int argc, char** argv) {
       c.sample_period_hours = 2.0;
       c.seed = 11;
       c.use_linkguardian = lg;
-      runner.add(c.seed, c);
+      grid.push_back(c);
     }
   }
-  const std::vector<DeploymentResult> results = runner.run_in_grid_order();
+  const std::vector<DeploymentResult> results =
+      harness::run_grid(grid, run_deployment);
 
   std::size_t ri = 0;
   for (double constraint : {0.50, 0.75}) {

@@ -40,30 +40,30 @@ int main(int argc, char** argv) {
   // Derive per-chunk seeds serially from one base generator, then fan the
   // chunks out; each worker samples only from its own Rng.
   Rng base(42);
-  harness::ParallelRunner<ChunkConfig, ChunkResult> runner(
-      [](const ChunkConfig& c) {
-        Rng rng(c.seed);
-        ChunkResult out;
-        for (std::int64_t i = 0; i < c.samples; ++i) {
-          const double r = sample_loss_rate(rng);
-          out.sum += r;
-          if (r < 1e-5) out.buckets.add(0);
-          else if (r < 1e-4) out.buckets.add(1);
-          else if (r < 1e-3) out.buckets.add(2);
-          else out.buckets.add(3);
-        }
-        return out;
-      });
+  std::vector<ChunkConfig> chunks;
   for (std::int64_t k = 0; k < kChunks; ++k) {
     ChunkConfig c;
     c.seed = base.next_u64();
     c.samples = n / kChunks + (k < n % kChunks ? 1 : 0);
-    runner.add(c.seed, c);
+    chunks.push_back(c);
   }
+  const auto sample_chunk = [](const ChunkConfig& c) {
+    Rng rng(c.seed);
+    ChunkResult out;
+    for (std::int64_t i = 0; i < c.samples; ++i) {
+      const double r = sample_loss_rate(rng);
+      out.sum += r;
+      if (r < 1e-5) out.buckets.add(0);
+      else if (r < 1e-4) out.buckets.add(1);
+      else if (r < 1e-3) out.buckets.add(2);
+      else out.buckets.add(3);
+    }
+    return out;
+  };
 
   CountHistogram counts;
   double mean = 0.0;
-  for (const ChunkResult& r : runner.run_in_grid_order()) {
+  for (const ChunkResult& r : harness::run_grid(chunks, sample_chunk)) {
     counts.merge(r.buckets);
     mean += r.sum;
   }

@@ -29,9 +29,7 @@ int main(int argc, char** argv) {
                                  {"LinkGuardian", bench::Scheme::kLg},
                                  {"LinkGuardianNB", bench::Scheme::kLgNb}};
 
-  harness::ParallelRunner<bench::GoodputCell, double> runner(
-      [](const bench::GoodputCell& cell) { return bench::run_goodput(cell); },
-      bench::jobs());
+  std::vector<bench::GoodputCell> grid;
   for (const Row& row : rows) {
     for (double l : losses) {
       if (row.scheme == bench::Scheme::kWharf && l == 0.0) continue;  // n/a
@@ -39,10 +37,11 @@ int main(int argc, char** argv) {
       cell.scheme = row.scheme;
       cell.loss.rate = l;
       cell.duration = duration;
-      runner.add(/*seed=*/5, cell);
+      grid.push_back(cell);
     }
   }
-  const std::vector<double> goodputs = runner.run_in_grid_order();
+  const std::vector<double> goodputs =
+      harness::run_grid(grid, bench::run_goodput);
 
   TablePrinter t({"Loss rate ->", "0", "1e-5", "1e-4", "1e-3", "1e-2"});
   std::size_t next = 0;

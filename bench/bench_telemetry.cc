@@ -18,7 +18,7 @@
 // period (10 us) and the exit code enforces it. `--smoke` runs the reduced
 // grid (default period, seed 1) for ctest.
 //
-// Output is byte-identical for any LGSIM_BENCH_JOBS (ParallelRunner merge
+// Output is byte-identical for any LGSIM_BENCH_JOBS (harness::run_grid merge
 // order + per-cell determinism); diff two runs to verify.
 #include <cstdio>
 #include <string>

@@ -292,10 +292,7 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
 
 std::vector<LifecycleResult> run_lifecycle_grid(
     const std::vector<LifecycleConfig>& grid) {
-  harness::ParallelRunner<LifecycleConfig, LifecycleResult> runner(
-      [](const LifecycleConfig& c) { return run_lifecycle(c); });
-  for (const LifecycleConfig& c : grid) runner.add(c.seed, c);
-  return runner.run_in_grid_order();
+  return harness::run_grid(grid, run_lifecycle);
 }
 
 }  // namespace lgsim::fault

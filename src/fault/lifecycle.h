@@ -14,7 +14,7 @@
 //
 // Determinism: one Simulator/Rng per run, scripted faults only (no ambient
 // state), so a {scenario, seed} cell is byte-identical for any
-// LGSIM_BENCH_JOBS via harness::ParallelRunner (bench_fault_lifecycle pins
+// LGSIM_BENCH_JOBS via harness::run_grid (bench_fault_lifecycle pins
 // this with its golden-diff mode).
 #pragma once
 
@@ -134,8 +134,8 @@ struct LifecycleResult {
 /// Runs one scenario cell end to end.
 LifecycleResult run_lifecycle(const LifecycleConfig& cfg);
 
-/// Runs a grid of cells through harness::ParallelRunner; results come back
-/// in submission order, byte-identical for any LGSIM_BENCH_JOBS.
+/// Runs a grid of cells through harness::run_grid; results come back
+/// in grid order, byte-identical for any LGSIM_BENCH_JOBS.
 std::vector<LifecycleResult> run_lifecycle_grid(
     const std::vector<LifecycleConfig>& grid);
 

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "harness/parallel.h"
 #include "net/loss_model.h"
 #include "transport/rdma.h"
 #include "transport/tcp.h"
@@ -208,13 +207,6 @@ FctResult run_fct(const FctConfig& cfg) {
   }
 
   return res;
-}
-
-std::vector<FctResult> run_fct_grid(const std::vector<FctConfig>& cfgs) {
-  ParallelRunner<FctConfig, FctResult> pool(
-      [](const FctConfig& c) { return run_fct(c); });
-  for (const FctConfig& c : cfgs) pool.add(c.seed, c);
-  return pool.run_in_grid_order();
 }
 
 }  // namespace lgsim::harness

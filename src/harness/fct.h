@@ -63,12 +63,8 @@ struct FctResult {
   double p(double percentile) const { return fct_us.percentile(percentile); }
 };
 
+/// Runs one FCT configuration. Grids fan out through
+/// harness::run_grid(grid, run_fct) (harness/parallel.h).
 FctResult run_fct(const FctConfig& cfg);
-
-/// Runs a whole grid of FCT configurations, fanned out over LGSIM_BENCH_JOBS
-/// workers (see harness/parallel.h). Each replication gets its own
-/// Simulator/Rng; results come back in submission order and are
-/// byte-identical to calling run_fct serially, for any worker count.
-std::vector<FctResult> run_fct_grid(const std::vector<FctConfig>& cfgs);
 
 }  // namespace lgsim::harness

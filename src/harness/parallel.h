@@ -5,9 +5,10 @@
 // single-threaded by design (see DESIGN.md); the parallelism lives one layer
 // up, at the replication grid: each {seed, config} cell constructs its own
 // Simulator/Rng inside the run function, so workers share no mutable state.
-// parallel_map is the tree's one worker loop; ParallelRunner and the traffic
-// engine's intra-cell stages (DESIGN.md §15) both fan out through it, and
-// nesting them is safe (each call owns its threads and its result slots).
+// parallel_map is the tree's one worker loop; run_grid (replication grids)
+// and the traffic engine's intra-cell stages (DESIGN.md §15) both fan out
+// through it, and nesting them is safe (each call owns its threads and its
+// result slots).
 //
 // Determinism contract: the merged results are byte-identical for any worker
 // count (LGSIM_BENCH_JOBS=1 vs =8), because
@@ -15,8 +16,7 @@
 //      state, no shared RNG draws, no time-of-day),
 //   2. each result lands in its own per-index slot (no locks, no
 //      contention-ordering effects), and
-//   3. results come back in submission order, which ParallelRunner::run()
-//      re-sorts on (seed, config index) — a total order independent of
+//   3. results come back in item order, a total order independent of
 //      scheduling.
 // tests/parallel_runner_test.cc enforces this differentially, and a
 // ThreadSanitizer build of the same test runs in the tier-1 ctest pass.
@@ -24,15 +24,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
-#include <functional>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "harness/run_result.h"
 #include "obs/trace.h"
 #include "util/env.h"
 
@@ -99,91 +97,41 @@ auto parallel_map(const std::vector<Item>& items, Fn&& fn,
   return out;
 }
 
-/// Fans a grid of {seed, config} replications out over a pool of workers and
-/// merges the per-run results deterministically.
+/// Runs `fn(item)` for every item of a replication grid on up to `jobs`
+/// workers and returns the results in item order — what a serial `for` loop
+/// over the same grid would have produced.
 ///
-/// Usage:
-///   ParallelRunner<StressConfig, StressResult> runner(
-///       [](const StressConfig& c) { return run_stress(c); });
-///   for (...) runner.add(cfg.seed, cfg);
-///   auto rows = runner.run();              // sorted on (seed, config index)
-///   auto ordered = runner.run_in_grid_order();  // submission order
-template <typename Config, typename Value>
-class ParallelRunner {
- public:
-  using RunFn = std::function<Value(const Config&)>;
-
-  explicit ParallelRunner(RunFn fn, unsigned jobs = bench_jobs())
-      : fn_(std::move(fn)), jobs_(jobs < 1 ? 1 : jobs) {}
-
-  /// Adds one replication. Returns its config index (grid position), the
-  /// tie-breaker of the merge order.
-  std::size_t add(std::uint64_t seed, Config cfg) {
-    grid_.push_back(Cell{RunKey{seed, grid_.size()}, std::move(cfg)});
-    return grid_.size() - 1;
-  }
-
-  std::size_t size() const { return grid_.size(); }
-  unsigned jobs() const { return jobs_; }
-
-  /// Runs every cell and returns the merged results sorted on
-  /// (seed, config index). Deterministic for any worker count.
-  std::vector<RunResult<Value>> run() {
-    std::vector<Value> values = run_cells();
-    std::vector<RunResult<Value>> merged;
-    merged.reserve(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-      merged.push_back(RunResult<Value>{grid_[i].key, std::move(values[i])});
-    std::sort(merged.begin(), merged.end(),
-              [](const RunResult<Value>& a, const RunResult<Value>& b) {
-                return a.key < b.key;
-              });
-    return merged;
-  }
-
-  /// Runs every cell and returns results in submission order — what a serial
-  /// `for` loop over the same grid would have produced, for printing rows in
-  /// the paper's table order. Equally deterministic: both orders are total
-  /// and scheduling-independent.
-  std::vector<Value> run_in_grid_order() { return run_cells(); }
-
- private:
-  struct Cell {
-    RunKey key;
-    Config cfg;
-  };
-
-  std::vector<Value> run_cells() {
-    // Per-cell trace sinks, when a bench installed a TraceCollector. All
-    // sinks are allocated here on the main thread, before any worker spawns
-    // and in grid-submission order, so the exported trace is byte-identical
-    // for any worker count: a cell's ring depends only on its deterministic
-    // simulation, and sink order depends only on submission order. Each cell
-    // runs under a SinkScope for its own sink (one thread at a time — no
-    // synchronization needed); worker threads start with a null thread-local
-    // sink, so untraced runs are unaffected.
-    std::vector<obs::TraceSink*> sinks;
-    if (obs::TraceCollector* col = obs::TraceCollector::active()) {
-      sinks.reserve(grid_.size());
-      for (const Cell& c : grid_) {
-        sinks.push_back(
-            col->make_sink("cell " + std::to_string(c.key.config_index) +
-                           " seed=" + std::to_string(c.key.seed)));
-      }
+/// When a bench installed a TraceCollector, every item runs under its own
+/// trace sink. All sinks are allocated here on the main thread, before any
+/// worker spawns and in item order, so the exported trace is byte-identical
+/// for any worker count: an item's ring depends only on its deterministic
+/// simulation, and sink order depends only on item order. Sinks are labelled
+/// "cell <i> seed=<item.seed>", or "cell <i>" for items without a `seed`
+/// member. Worker threads start with a null thread-local sink, so untraced
+/// runs are unaffected.
+///
+/// Usage: `auto rows = run_grid(grid, run_stress);`
+template <class Item, class Fn>
+auto run_grid(const std::vector<Item>& items, Fn&& fn,
+              unsigned jobs = bench_jobs()) {
+  std::vector<obs::TraceSink*> sinks;
+  if (obs::TraceCollector* col = obs::TraceCollector::active()) {
+    sinks.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      std::string label = "cell " + std::to_string(i);
+      if constexpr (requires(const Item& it) { it.seed; })
+        label += " seed=" + std::to_string(items[i].seed);
+      sinks.push_back(col->make_sink(label));
     }
-    return parallel_map(
-        grid_,
-        [&](const Cell& c, std::size_t i) {
-          if (sinks.empty()) return fn_(c.cfg);
-          obs::SinkScope scope(sinks[i]);
-          return fn_(c.cfg);
-        },
-        jobs_);
   }
-
-  RunFn fn_;
-  unsigned jobs_;
-  std::vector<Cell> grid_;
-};
+  return parallel_map(
+      items,
+      [&](const Item& item, std::size_t i) {
+        if (sinks.empty()) return fn(item);
+        obs::SinkScope scope(sinks[i]);
+        return fn(item);
+      },
+      jobs);
+}
 
 }  // namespace lgsim::harness

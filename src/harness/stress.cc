@@ -1,20 +1,33 @@
 #include "harness/stress.h"
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <string>
 
-#include "harness/parallel.h"
 #include "obs/trace.h"
 
 namespace lgsim::harness {
 
-StressResult run_stress(const StressConfig& cfg) {
-  StressConfig tuned = cfg;
-  tuned.lg = lg::tuned_for_rate(cfg.lg, cfg.rate);
-  tuned.lg.preserve_order = cfg.lg.preserve_order;
-  return run_stress_with_config(tuned);
+namespace {
+
+void validate(const StressConfig& cfg) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("StressConfig: ") + what);
+  };
+  if (cfg.rate <= 0) fail("rate must be > 0");
+  if (cfg.packets < 0) fail("packets must be >= 0");
+  if (cfg.frame_bytes <= 0) fail("frame_bytes must be > 0");
+  if (cfg.sample_period <= 0) fail("sample_period must be > 0");
+  if (!(cfg.loss_rate >= 0.0 && cfg.loss_rate < 1.0))
+    fail("loss_rate must be in [0, 1)");
+  if (!(cfg.mean_burst >= 1.0)) fail("mean_burst must be >= 1");
 }
 
-StressResult run_stress_with_config(const StressConfig& cfg) {
+}  // namespace
+
+StressResult run_stress(const StressConfig& cfg) {
+  validate(cfg);
   Simulator sim;
 
   lg::LinkSpec spec;
@@ -22,7 +35,8 @@ StressResult run_stress_with_config(const StressConfig& cfg) {
   spec.name = "stress";
   spec.normal_queue_bytes = 2'000'000;
 
-  lg::LgConfig lgc = cfg.lg;
+  lg::LgConfig lgc =
+      cfg.tune_for_rate ? lg::tuned_for_rate(cfg.lg, cfg.rate) : cfg.lg;
   lgc.actual_loss_rate = cfg.loss_rate;
 
   lg::ProtectedLink link(sim, spec, lgc);
@@ -195,28 +209,6 @@ StressResult run_stress_with_config(const StressConfig& cfg) {
   // Move the distribution trackers out.
   res.retx_delay_us = link.receiver().mutable_stats().retx_delay_us;
   return res;
-}
-
-namespace {
-
-std::vector<StressResult> run_grid_with(
-    const std::vector<StressConfig>& cfgs,
-    StressResult (*runner)(const StressConfig&)) {
-  ParallelRunner<StressConfig, StressResult> pool(
-      [runner](const StressConfig& c) { return runner(c); });
-  for (const StressConfig& c : cfgs) pool.add(c.seed, c);
-  return pool.run_in_grid_order();
-}
-
-}  // namespace
-
-std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs) {
-  return run_grid_with(cfgs, &run_stress);
-}
-
-std::vector<StressResult> run_stress_with_config_grid(
-    const std::vector<StressConfig>& cfgs) {
-  return run_grid_with(cfgs, &run_stress_with_config);
 }
 
 }  // namespace lgsim::harness

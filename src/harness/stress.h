@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "lg/link.h"
 #include "net/loss_model.h"
@@ -37,6 +36,11 @@ struct StressConfig {
   std::uint64_t seed = 1;
   /// Buffer-occupancy sampling period (Fig. 14).
   SimTime sample_period = usec(10);
+  /// Auto-tune the LinkGuardian parameters for `rate` per Appendix B.1
+  /// (recirculation loop, ackNoTimeout, thresholds). Ablations that sweep
+  /// the dataplane parameters themselves set this to false and run `lg`
+  /// verbatim.
+  bool tune_for_rate = true;
 };
 
 struct StressResult {
@@ -64,22 +68,10 @@ struct StressResult {
 };
 
 /// Runs one stress-test configuration to completion and reports the metrics.
-/// The LinkGuardian parameters are auto-tuned for the link speed per
-/// Appendix B.1 (recirculation loop, ackNoTimeout, thresholds).
+/// Throws std::invalid_argument on a config it cannot run (non-positive rate,
+/// frame size or sample period, negative packet count, loss rate outside
+/// [0, 1), mean burst below 1). Grids fan out through
+/// harness::run_grid(grid, run_stress) (harness/parallel.h).
 StressResult run_stress(const StressConfig& cfg);
-
-/// Same, but uses cfg.lg verbatim (no per-rate tuning) — for ablations that
-/// sweep the dataplane parameters themselves.
-StressResult run_stress_with_config(const StressConfig& cfg);
-
-/// Runs a whole grid of stress configurations, fanned out over
-/// LGSIM_BENCH_JOBS workers (see harness/parallel.h). Each replication gets
-/// its own Simulator/Rng; results come back in submission order and are
-/// byte-identical to calling run_stress serially, for any worker count.
-std::vector<StressResult> run_stress_grid(const std::vector<StressConfig>& cfgs);
-
-/// Grid variant of run_stress_with_config (no per-rate tuning).
-std::vector<StressResult> run_stress_with_config_grid(
-    const std::vector<StressConfig>& cfgs);
 
 }  // namespace lgsim::harness

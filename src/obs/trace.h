@@ -273,7 +273,7 @@ inline void emit_counter(SimTime ts, Cat cat, std::uint32_t series,
 /// Process-global sink registry for one traced bench run.
 ///
 /// make_sink() must only be called from the main thread, and only while no
-/// worker threads are running — harness::ParallelRunner pre-allocates every
+/// worker threads are running — harness::run_grid pre-allocates every
 /// per-cell sink before spawning its pool, which is why no lock is needed
 /// and why sink order (== export order) is scheduling-independent.
 class TraceCollector {

@@ -20,7 +20,7 @@
 // Determinism contract: the estimator draws no random numbers and performs
 // no steady-state allocation (the slot array is sized once in the
 // constructor), so attaching one to a cell changes nothing about the cell's
-// RNG stream — ParallelRunner byte-identity across LGSIM_BENCH_JOBS is
+// RNG stream — harness::run_grid byte-identity across LGSIM_BENCH_JOBS is
 // preserved (tests/telemetry_off_test.cc pins both properties).
 #pragma once
 

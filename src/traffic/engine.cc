@@ -419,15 +419,14 @@ TrafficResult run_traffic(const EngineConfig& cfg, unsigned jobs) {
     std::uint64_t seed;
     std::int32_t slice;
   };
-  harness::ParallelRunner<CellJob, CellOut> pool(
+  std::vector<CellJob> grid;
+  for (const std::uint64_t seed : cfg.seeds) {
+    for (std::int32_t sl = 0; sl < cfg.slices; ++sl) grid.push_back({seed, sl});
+  }
+  const std::vector<CellOut> cells = harness::run_grid(
+      grid,
       [&](const CellJob& j) { return Cell(cfg, sc, j.seed, j.slice).run(); },
       jobs == 0 ? harness::bench_jobs() : jobs);
-  for (const std::uint64_t seed : cfg.seeds) {
-    for (std::int32_t sl = 0; sl < cfg.slices; ++sl) {
-      pool.add(seed, CellJob{seed, sl});
-    }
-  }
-  const std::vector<CellOut> cells = pool.run_in_grid_order();
 
   TrafficResult res;
   res.hot_links = sc.hot;

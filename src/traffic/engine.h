@@ -21,7 +21,7 @@
 //     penalties sampled from the scenario's residual-loss rates. Scaling
 //     sanity mode.
 //
-// Determinism contract (the ParallelRunner one): the run is split into
+// Determinism contract (the harness::run_grid one): the run is split into
 // {seed x time-slice} cells; each cell draws every flow attribute from
 // per-(seed, slice, host) RNG streams (workload::stream_rng) and victim
 // packet simulations from per-(seed, slice, link) seeds, so the merged

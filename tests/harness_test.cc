@@ -3,6 +3,10 @@
 // figure relies on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <stdexcept>
+
 #include "harness/fct.h"
 #include "harness/stress.h"
 #include "harness/timeline.h"
@@ -75,6 +79,35 @@ TEST(Stress, RecirculationOverheadUnderOnePercent) {
   EXPECT_GT(r.recirc_overhead_tx_frac, 0.0);
   EXPECT_LT(r.recirc_overhead_tx_frac, 0.02);
   EXPECT_LT(r.recirc_overhead_rx_frac, 0.02);
+}
+
+// Each config run_stress cannot run is rejected up front, instead of looping
+// forever (zero sample period), dividing by zero (certain loss with bursts)
+// or returning all-zero rows (zero rate, negative packet count).
+TEST(Stress, RejectsInvalidConfigs) {
+  using Mutate = void (*)(StressConfig&);
+  const Mutate bad[] = {
+      [](StressConfig& c) { c.rate = 0; },
+      [](StressConfig& c) { c.rate = -gbps(1); },
+      [](StressConfig& c) { c.packets = -1; },
+      [](StressConfig& c) { c.frame_bytes = 0; },
+      [](StressConfig& c) { c.sample_period = 0; },
+      [](StressConfig& c) { c.loss_rate = -1e-3; },
+      [](StressConfig& c) { c.loss_rate = 1.0; },
+      [](StressConfig& c) { c.loss_rate = 1.0; c.mean_burst = 1.5; },
+      [](StressConfig& c) { c.loss_rate = std::nan(""); },
+      [](StressConfig& c) { c.mean_burst = 0.5; },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    StressConfig c;
+    c.packets = 100;
+    bad[i](c);
+    EXPECT_THROW(run_stress(c), std::invalid_argument) << "case " << i;
+  }
+  StressConfig empty;
+  empty.packets = 0;  // the boundary values themselves are valid
+  empty.loss_rate = 0.0;
+  EXPECT_EQ(run_stress(empty).forwarded, 0);
 }
 
 TEST(Fct, NoLossBaselineTight) {

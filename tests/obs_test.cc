@@ -1,8 +1,9 @@
 // Tests for the observability subsystem: metrics registry, trace ring,
 // actor interning, the Chrome trace-event exporter (golden file — the byte
 // stream is part of the determinism contract), and per-cell sink threading
-// through the ParallelRunner. Suites are named Obs* so the tsan ctest preset
-// (filter "Parallel|Obs") exercises the multi-threaded sink path under TSan.
+// through harness::run_grid. Suites are named Obs* so the tsan ctest preset
+// (filter "Parallel|Obs|Shard") exercises the multi-threaded sink path under
+// TSan.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -261,22 +262,28 @@ TEST(ObsCollector, InstallUninstallAndSinkOrder) {
 std::string export_grid_with_jobs(unsigned jobs) {
   obs::TraceCollector col(64);
   col.install();
-  harness::ParallelRunner<int, std::int64_t> runner(
-      [](const int& cfg) {
+  struct Cell {
+    std::uint64_t seed;
+    int cfg;
+  };
+  std::vector<Cell> grid;
+  for (int c = 0; c < 8; ++c)
+    grid.push_back({1000 + static_cast<std::uint64_t>(c), c});
+  const auto rows = harness::run_grid(
+      grid,
+      [](const Cell& cell) {
         const std::uint32_t actor = obs::intern_actor("cell-actor");
         std::int64_t acc = 0;
         for (int i = 0; i < 50; ++i) {
           obs::emit(static_cast<SimTime>(i) * 10, obs::Cat::kSim,
-                    obs::Kind::kPoll, actor, cfg, i);
-          acc += cfg + i;
+                    obs::Kind::kPoll, actor, cell.cfg, i);
+          acc += cell.cfg + i;
         }
         if (obs::TraceSink* s = obs::current_sink())
           s->metrics().counter("cell.acc") = acc;
         return acc;
       },
       jobs);
-  for (int c = 0; c < 8; ++c) runner.add(1000 + static_cast<unsigned>(c), c);
-  const auto rows = runner.run_in_grid_order();
   EXPECT_EQ(rows.size(), 8u);
   col.uninstall();
   std::ostringstream os;
@@ -296,16 +303,25 @@ TEST(ObsParallelTrace, ExportBytesIdenticalForAnyJobCount) {
 
 TEST(ObsParallelTrace, UntracedRunsAllocateNoSinks) {
   ASSERT_EQ(obs::TraceCollector::active(), nullptr);
-  harness::ParallelRunner<int, int> runner(
+  const auto rows = harness::run_grid(
+      std::vector<int>{0, 1, 2, 3},
       [](const int& cfg) {
         EXPECT_EQ(obs::current_sink(), nullptr);
         return cfg * 2;
       },
       2);
-  for (int c = 0; c < 4; ++c) runner.add(1, c);
-  const auto rows = runner.run_in_grid_order();
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[3], 6);
+}
+
+TEST(ObsParallelTrace, ItemsWithoutSeedGetIndexLabels) {
+  obs::TraceCollector col(16);
+  col.install();
+  harness::run_grid(std::vector<int>{7, 8}, [](const int& x) { return x; }, 2);
+  col.uninstall();
+  ASSERT_EQ(col.sink_count(), 2u);
+  EXPECT_EQ(col.sink(0).label(), "cell 0");
+  EXPECT_EQ(col.sink(1).label(), "cell 1");
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "harness/fct.h"
 #include "harness/parallel.h"
 #include "harness/stress.h"
+#include "lg/config.h"
 #include "obs/trace.h"
 #include "sim/random.h"
 #include "util/stats.h"
@@ -49,57 +50,33 @@ TEST(ParallelMap, SingleWorkerMatchesMultiWorker) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelRunner, SortsMergedResultsOnSeedThenConfigIndex) {
-  // Seeds deliberately submitted out of order; run() must sort on
-  // (seed, config index) while run_in_grid_order() restores submission order.
-  ParallelRunner<std::uint64_t, std::uint64_t> runner(
-      [](const std::uint64_t& s) { return s * 10; }, 4);
-  const std::uint64_t seeds[] = {5, 1, 3, 1, 2};
-  for (std::uint64_t s : seeds) runner.add(s, s);
-
-  const auto sorted = runner.run();
-  ASSERT_EQ(sorted.size(), 5u);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_TRUE(sorted[i - 1].key < sorted[i].key ||
-                sorted[i - 1].key == sorted[i].key);
-  }
-  // Duplicate seed 1 appears twice, ordered by config index.
-  EXPECT_EQ(sorted[0].key.seed, 1u);
-  EXPECT_EQ(sorted[0].key.config_index, 1u);
-  EXPECT_EQ(sorted[1].key.seed, 1u);
-  EXPECT_EQ(sorted[1].key.config_index, 3u);
-
-  const auto in_order = runner.run_in_grid_order();
-  ASSERT_EQ(in_order.size(), 5u);
-  for (std::size_t i = 0; i < in_order.size(); ++i) {
-    EXPECT_EQ(in_order[i], seeds[i] * 10);
-  }
-}
-
-TEST(ParallelRunner, AllTasksRunExactlyOnce) {
+TEST(ParallelGrid, AllTasksRunExactlyOnce) {
   std::atomic<int> calls{0};
-  ParallelRunner<int, int> runner(
+  std::vector<int> items;
+  for (int i = 0; i < 200; ++i) items.push_back(i);
+  const auto out = run_grid(
+      items,
       [&calls](const int& x) {
         calls.fetch_add(1, std::memory_order_relaxed);
         return x + 1;
       },
       8);
-  for (int i = 0; i < 200; ++i) runner.add(static_cast<std::uint64_t>(i), i);
-  const auto out = runner.run_in_grid_order();
   EXPECT_EQ(calls.load(), 200);
   ASSERT_EQ(out.size(), 200u);
   for (int i = 0; i < 200; ++i) EXPECT_EQ(out[i], i + 1);
 }
 
-TEST(ParallelRunner, ExceptionInWorkerPropagates) {
-  ParallelRunner<int, int> runner(
-      [](const int& x) {
-        if (x == 13) throw std::runtime_error("boom");
-        return x;
-      },
-      4);
-  for (int i = 0; i < 32; ++i) runner.add(static_cast<std::uint64_t>(i), i);
-  EXPECT_THROW(runner.run(), std::runtime_error);
+TEST(ParallelGrid, ExceptionInWorkerPropagates) {
+  std::vector<int> items;
+  for (int i = 0; i < 32; ++i) items.push_back(i);
+  EXPECT_THROW(run_grid(
+                   items,
+                   [](const int& x) {
+                     if (x == 13) throw std::runtime_error("boom");
+                     return x;
+                   },
+                   4),
+               std::runtime_error);
 }
 
 TEST(BenchJobs, EnvOverridesAndRejectsGarbage) {
@@ -150,11 +127,8 @@ std::vector<StressConfig> stress_grid() {
 }
 
 std::vector<std::string> run_stress_rows(unsigned jobs) {
-  ParallelRunner<StressConfig, StressResult> runner(
-      [](const StressConfig& c) { return run_stress(c); }, jobs);
-  for (const StressConfig& c : stress_grid()) runner.add(c.seed, c);
   std::vector<std::string> rows;
-  for (const StressResult& r : runner.run_in_grid_order()) {
+  for (const StressResult& r : run_grid(stress_grid(), run_stress, jobs)) {
     rows.push_back(stress_row(r));
   }
   return rows;
@@ -180,8 +154,7 @@ std::string fct_row(const FctResult& r) {
 }
 
 std::vector<std::string> run_fct_rows(unsigned jobs) {
-  ParallelRunner<FctConfig, FctResult> runner(
-      [](const FctConfig& c) { return run_fct(c); }, jobs);
+  std::vector<FctConfig> grid;
   for (Protection pr : {Protection::kNoLoss, Protection::kLg,
                         Protection::kLgNb, Protection::kLossOnly}) {
     FctConfig c;
@@ -192,10 +165,10 @@ std::vector<std::string> run_fct_rows(unsigned jobs) {
     c.loss_rate = 5e-3;  // harsh so that losses actually land in 250 trials
     c.rate = gbps(100);
     c.seed = 700 + static_cast<std::uint64_t>(pr);
-    runner.add(c.seed, c);
+    grid.push_back(c);
   }
   std::vector<std::string> rows;
-  for (const FctResult& r : runner.run_in_grid_order()) {
+  for (const FctResult& r : run_grid(grid, run_fct, jobs)) {
     rows.push_back(fct_row(r));
   }
   return rows;
@@ -210,13 +183,15 @@ TEST(ParallelDifferential, FctPercentileRowsIdenticalAcrossWorkerCounts) {
 }
 
 // Nested fan-out, the traffic engine's intra-cell pattern (DESIGN.md §15):
-// parallel_map inside ParallelRunner cells, each inner item tracing into its
+// parallel_map inside run_grid cells, each inner item tracing into its
 // own sink that the cell absorbs in item order. Rows and trace sizes must
 // not depend on the outer or inner worker count.
 std::vector<std::string> run_nested_rows(unsigned outer, unsigned inner) {
   obs::TraceCollector collector;
   collector.install();
-  ParallelRunner<std::uint64_t, std::string> runner(
+  const std::vector<std::uint64_t> seeds = {1, 2, 3};
+  const auto rows = run_grid(
+      seeds,
       [inner](const std::uint64_t& seed) {
         std::vector<FctConfig> items;
         for (Protection pr : {Protection::kNoLoss, Protection::kLg,
@@ -247,8 +222,6 @@ std::vector<std::string> run_nested_rows(unsigned outer, unsigned inner) {
         return row + std::to_string(cell->ring().size()) + " records";
       },
       outer);
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) runner.add(seed, seed);
-  const auto rows = runner.run_in_grid_order();
   collector.uninstall();
   return rows;
 }
@@ -271,7 +244,11 @@ std::vector<std::int64_t> run_bucket_counts(unsigned jobs) {
     std::uint64_t seed;
     std::int64_t samples;
   };
-  ParallelRunner<Chunk, CountHistogram> runner(
+  Rng base(4242);
+  std::vector<Chunk> chunks;
+  for (int k = 0; k < 16; ++k) chunks.push_back(Chunk{base.next_u64(), 5'000});
+  const auto hists = run_grid(
+      chunks,
       [](const Chunk& ch) {
         Rng rng(ch.seed);
         CountHistogram h;
@@ -283,13 +260,8 @@ std::vector<std::int64_t> run_bucket_counts(unsigned jobs) {
         return h;
       },
       jobs);
-  Rng base(4242);
-  for (int k = 0; k < 16; ++k) {
-    const std::uint64_t seed = base.next_u64();
-    runner.add(seed, Chunk{seed, 5'000});
-  }
   CountHistogram merged;
-  for (const CountHistogram& h : runner.run_in_grid_order()) merged.merge(h);
+  for (const CountHistogram& h : hists) merged.merge(h);
   std::vector<std::int64_t> counts;
   for (std::int64_t b = 0; b <= merged.max_value(); ++b) {
     counts.push_back(merged.count_at(b));
@@ -305,15 +277,32 @@ TEST(ParallelDifferential, LossBucketCountsIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(parallel, parallel2);
 }
 
-// run_stress_grid / run_fct_grid (the bench entry points) must agree with
-// element-wise serial calls of the underlying runner.
+// run_grid(grid, run_stress) (the bench entry point) must agree with
+// element-wise serial calls of run_stress.
 TEST(ParallelDifferential, GridEntryPointsMatchSerialCalls) {
   const auto grid = stress_grid();
-  const auto parallel = run_stress_grid(grid);
+  const auto parallel = run_grid(grid, run_stress);
   ASSERT_EQ(parallel.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(stress_row(run_stress(grid[i])), stress_row(parallel[i]));
   }
+}
+
+// tune_for_rate = false runs cfg.lg verbatim: tuning it by hand reproduces
+// the default path's bytes, and a dataplane knob the per-rate tuning would
+// overwrite reaches the run.
+TEST(Stress, UntunedConfigRunsVerbatim) {
+  const StressConfig tuned = stress_grid()[0];
+  StressConfig verbatim = tuned;
+  verbatim.lg = lg::tuned_for_rate(verbatim.lg, verbatim.rate);
+  verbatim.tune_for_rate = false;
+  const StressResult base = run_stress(verbatim);
+  EXPECT_EQ(stress_row(base), stress_row(run_stress(tuned)));
+
+  StressConfig slow_loop = verbatim;
+  slow_loop.lg.recirc_loop = 4 * verbatim.lg.recirc_loop;
+  EXPECT_NE(run_stress(slow_loop).retx_delay_us.percentile(50),
+            base.retx_delay_us.percentile(50));
 }
 
 }  // namespace

@@ -37,6 +37,16 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// Replaced too: under AddressSanitizer the nothrow forms (which
+// std::stable_sort's temporary buffer uses) would otherwise come from the
+// sanitizer runtime and be freed by the free()-backed delete below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
 void* operator new(std::size_t n, std::align_val_t al) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;

@@ -10,7 +10,7 @@
 //    catalogue: identical eventual protection decisions, bounded extra
 //    detection latency, zero missed detections;
 //  - grid determinism: estimator-fed cells reproduce exactly through
-//    harness::ParallelRunner.
+//    harness::run_grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -450,7 +450,7 @@ TEST(Differential, OracleAndEstimatorAgreeOnEveryCatalogueScenario) {
   }
 }
 
-TEST(Differential, EstimatorGridIsDeterministicThroughParallelRunner) {
+TEST(Differential, EstimatorGridIsDeterministicThroughRunGrid) {
   std::vector<fault::LifecycleConfig> grid;
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     grid.push_back(estimator_cfg("onset", seed));
