@@ -5,9 +5,10 @@
 //   * trace-overhead guard: the runtime-off probe path must cost < 1% of the
 //     port datapath (the bound DESIGN.md's overhead model promises for builds
 //     that keep LGSIM_TRACE_ENABLED=1 but never install a sink);
-//   * allocation guard: the steady-state event loop and port datapath must
-//     perform exactly 0 heap allocations per event/frame, counted by the
-//     interposed global operator new below.
+//   * allocation guard: the steady-state event loop, port datapath and
+//     LinkGuardian datapath (ordered and NB) must perform exactly 0 heap
+//     allocations per event/frame, counted by the interposed global
+//     operator new below.
 //
 // Special modes (both bypass google-benchmark):
 //   --bench_json=<path>  measure the steady-state kernel metrics and write
@@ -32,6 +33,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -380,25 +382,13 @@ SteadyStat measure_event_chain_steady(int events_per_trial, int trials) {
   return best;
 }
 
-/// Port datapath in steady state: one port reused across batches, so the
-/// packet pool, ring queue and event slots are all warm. Per-frame heap
-/// allocations in this regime must be exactly zero.
-SteadyStat measure_port_steady(int batches, int trials) {
-  constexpr int kFrames = 1000;
-  Simulator sim;
-  net::EgressPort port(sim, "p", gbps(100), 0);
-  const int q = port.add_queue();
-  std::int64_t delivered = 0;
-  port.set_deliver([&](net::Packet&&) { ++delivered; });
-  const auto run_batch = [&] {
-    for (int i = 0; i < kFrames; ++i) {
-      net::Packet p;
-      p.frame_bytes = 1518;
-      port.enqueue(q, std::move(p));
-    }
-    sim.run();
-  };
-  for (int w = 0; w < 3; ++w) run_batch();  // warm pool/ring/slots
+/// Runs `run_batch` (kSteadyFrames frames each) three times to warm pools,
+/// rings and event slots, then returns the best per-frame time and
+/// allocation count over `trials` trials of `batches` batches.
+constexpr int kSteadyFrames = 1000;
+template <typename F>
+SteadyStat best_steady_trial(F&& run_batch, int batches, int trials) {
+  for (int w = 0; w < 3; ++w) run_batch();
   SteadyStat best{1e18, 1e18};
   for (int t = 0; t < trials; ++t) {
     const std::uint64_t a0 = heap_allocs();
@@ -406,11 +396,77 @@ SteadyStat measure_port_steady(int batches, int trials) {
     for (int b = 0; b < batches; ++b) run_batch();
     const auto t1 = std::chrono::steady_clock::now();
     const std::uint64_t a1 = heap_allocs();
-    const double frames = static_cast<double>(batches) * kFrames;
+    const double frames = static_cast<double>(batches) * kSteadyFrames;
     best.ns_per_event = std::min(best.ns_per_event, elapsed_ns(t0, t1) / frames);
     best.allocs_per_event =
         std::min(best.allocs_per_event, static_cast<double>(a1 - a0) / frames);
   }
+  return best;
+}
+
+/// Port datapath in steady state: one port reused across batches, so the
+/// packet pool, ring queue and event slots are all warm. Per-frame heap
+/// allocations in this regime must be exactly zero.
+SteadyStat measure_port_steady(int batches, int trials) {
+  Simulator sim;
+  net::EgressPort port(sim, "p", gbps(100), 0);
+  const int q = port.add_queue();
+  std::int64_t delivered = 0;
+  port.set_deliver([&](net::Packet&&) { ++delivered; });
+  const SteadyStat best = best_steady_trial(
+      [&] {
+        for (int i = 0; i < kSteadyFrames; ++i) {
+          net::Packet p;
+          p.frame_bytes = 1518;
+          port.enqueue(q, std::move(p));
+        }
+        sim.run();
+      },
+      batches, trials);
+  benchmark::DoNotOptimize(delivered);
+  return best;
+}
+
+/// LinkGuardian datapath in steady state: one ProtectedLink reused across
+/// batches, losing every kLossEvery-th forward frame so gap detection, loss
+/// notification, retransmission and (ordered mode) the reorder buffer all
+/// run. Once the Tx buffer, reorder buffer and hole rings have reached their
+/// working span, per-frame heap allocations must be exactly zero.
+SteadyStat measure_lg_steady(bool ordered, int batches, int trials) {
+  constexpr std::uint64_t kLossEvery = 97;
+  // The scripted indices cover the whole run (3 warm-up batches included);
+  // forward frames include retransmitted copies and dummies, so leave
+  // generous headroom.
+  const std::uint64_t horizon =
+      2ull * static_cast<std::uint64_t>(3 + trials * batches) * kSteadyFrames;
+  std::vector<std::uint64_t> drops;
+  for (std::uint64_t i = kLossEvery - 1; i < horizon; i += kLossEvery)
+    drops.push_back(i);
+  Simulator sim;
+  lg::LinkSpec spec;
+  spec.rate = gbps(100);
+  lg::LgConfig cfg;
+  cfg.actual_loss_rate = 1e-3;
+  cfg.preserve_order = ordered;
+  lg::ProtectedLink link(sim, spec, cfg);
+  link.set_loss_model(std::make_unique<net::ScriptedLoss>(std::move(drops)));
+  std::int64_t delivered = 0;
+  link.set_forward_sink([&](net::Packet&&) { ++delivered; });
+  link.enable_lg();
+  const SteadyStat best = best_steady_trial(
+      [&] {
+        // The retx-delay samples are a reporting accumulator, not datapath
+        // state; reset() keeps their capacity, so they do not grow run-long.
+        link.receiver().mutable_stats().retx_delay_us.reset();
+        for (int i = 0; i < kSteadyFrames; ++i) {
+          net::Packet p;
+          p.kind = net::PktKind::kData;
+          p.frame_bytes = 1518;
+          link.send_forward(std::move(p));
+        }
+        sim.run();
+      },
+      batches, trials);
   benchmark::DoNotOptimize(delivered);
   return best;
 }
@@ -482,11 +538,20 @@ double measure_port_frame_ns() {
   return best;
 }
 
+/// One "<name> <allocs> allocs/<unit> (limit 0) [PASS|FAIL]" guard row.
+bool print_alloc_row(const char* name, const char* unit, double allocs) {
+  const bool pass = allocs == 0.0;
+  std::printf("%-32s %10.3f allocs/%s  (limit 0)  [%s]\n", name, allocs, unit,
+              pass ? "PASS" : "FAIL");
+  return pass;
+}
+
 /// Prints the guard table and returns 0 iff (a) the runtime-off probe cost
 /// is under 1% of the port datapath — a forwarded frame crosses 3 probes
 /// (enqueue, dequeue, deliver), so 3x the per-probe cost is the entire delta
 /// between this build and an LGSIM_TRACE_ENABLED=0 build — and (b) the
-/// steady-state event loop and port datapath allocate exactly nothing.
+/// steady-state event loop, port datapath and LinkGuardian datapath allocate
+/// exactly nothing.
 int run_guards() {
   const double emit_ns = measure_emit_off_ns();
   const double frame_ns = measure_port_frame_ns();
@@ -504,15 +569,14 @@ int run_guards() {
 
   const SteadyStat loop = measure_event_loop_steady(/*batches=*/200, /*trials=*/3);
   const SteadyStat port = measure_port_steady(/*batches=*/50, /*trials=*/3);
-  const bool alloc_pass =
-      loop.allocs_per_event == 0.0 && port.allocs_per_event == 0.0;
+  const SteadyStat lg_ordered = measure_lg_steady(true, /*batches=*/20, /*trials=*/3);
+  const SteadyStat lg_nb = measure_lg_steady(false, /*batches=*/20, /*trials=*/3);
   std::printf("--- allocation guard (steady state, interposed operator new) ---\n");
-  std::printf("%-32s %10.3f allocs/event  (limit 0)  [%s]\n",
-              "event loop", loop.allocs_per_event,
-              loop.allocs_per_event == 0.0 ? "PASS" : "FAIL");
-  std::printf("%-32s %10.3f allocs/frame  (limit 0)  [%s]\n",
-              "port datapath", port.allocs_per_event,
-              port.allocs_per_event == 0.0 ? "PASS" : "FAIL");
+  bool alloc_pass = print_alloc_row("event loop", "event", loop.allocs_per_event);
+  alloc_pass &= print_alloc_row("port datapath", "frame", port.allocs_per_event);
+  alloc_pass &= print_alloc_row("LG datapath (ordered)", "frame",
+                                lg_ordered.allocs_per_event);
+  alloc_pass &= print_alloc_row("LG datapath (NB)", "frame", lg_nb.allocs_per_event);
   return (trace_pass && alloc_pass) ? 0 : 1;
 }
 
@@ -529,9 +593,14 @@ int write_bench_json(const char* path) {
   const SteadyStat loop = measure_event_loop_steady(/*batches=*/100, /*trials=*/100);
   const SteadyStat chain = measure_event_chain_steady(/*events=*/500'000, /*trials=*/5);
   const SteadyStat port = measure_port_steady(/*batches=*/100, /*trials=*/3);
+  const SteadyStat lg_ordered = measure_lg_steady(true, /*batches=*/20, /*trials=*/5);
+  const SteadyStat lg_nb = measure_lg_steady(false, /*batches=*/20, /*trials=*/5);
+  const unsigned cores = std::thread::hardware_concurrency();
   print_point("event_loop", loop);
   print_point("event_chain", chain);
   print_point("port_datapath", port);
+  print_point("lg_ordered", lg_ordered);
+  print_point("lg_nb", lg_nb);
   std::printf("%-16s %12.2f ns/op\n", "host_ref", loop.host_ref_ns);
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -539,6 +608,7 @@ int write_bench_json(const char* path) {
     return 1;
   }
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"cores\": %u,\n", cores);
   const auto obj = [f](const char* name, const SteadyStat& s, const char* unit,
                        bool last) {
     std::fprintf(f,
@@ -552,7 +622,9 @@ int write_bench_json(const char* path) {
   };
   obj("event_loop", loop, "event", false);
   obj("event_chain", chain, "event", false);
-  obj("port_datapath", port, "frame", true);
+  obj("port_datapath", port, "frame", false);
+  obj("lg_ordered", lg_ordered, "frame", false);
+  obj("lg_nb", lg_nb, "frame", true);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -603,13 +675,13 @@ int run_smoke(const char* baseline_path) {
   }
   const SteadyStat loop = measure_event_loop_steady(/*batches=*/60, /*trials=*/25);
   const SteadyStat port = measure_port_steady(/*batches=*/30, /*trials=*/3);
+  const SteadyStat lg_ordered = measure_lg_steady(true, /*batches=*/10, /*trials=*/3);
+  const SteadyStat lg_nb = measure_lg_steady(false, /*batches=*/10, /*trials=*/3);
   const double raw_ratio = base_ns / loop.ns_per_event;
   const double host_ratio = base_ref_ns / loop.host_ref_ns;
   const double ratio = raw_ratio / host_ratio;
   constexpr double kFloor = 0.80;  // fail on >20% host-normalized regression
   const bool speed_pass = ratio >= kFloor;
-  const bool alloc_pass =
-      loop.allocs_per_event == 0.0 && port.allocs_per_event == 0.0;
   std::printf("--- bench smoke (baseline %s) ---\n", baseline_path);
   std::printf("%-32s %12.2f ns/event, host ref %.2f ns/op\n",
               "baseline event loop", base_ns, base_ref_ns);
@@ -619,10 +691,11 @@ int run_smoke(const char* baseline_path) {
               raw_ratio, host_ratio);
   std::printf("%-32s %12.2fx (floor %.2fx)  [%s]\n", "host-normalized speed",
               ratio, kFloor, speed_pass ? "PASS" : "FAIL");
-  std::printf("%-32s %12.3f  (limit 0)  [%s]\n", "event loop allocs/event",
-              loop.allocs_per_event, loop.allocs_per_event == 0.0 ? "PASS" : "FAIL");
-  std::printf("%-32s %12.3f  (limit 0)  [%s]\n", "port datapath allocs/frame",
-              port.allocs_per_event, port.allocs_per_event == 0.0 ? "PASS" : "FAIL");
+  bool alloc_pass = print_alloc_row("event loop", "event", loop.allocs_per_event);
+  alloc_pass &= print_alloc_row("port datapath", "frame", port.allocs_per_event);
+  alloc_pass &= print_alloc_row("LG datapath (ordered)", "frame",
+                                lg_ordered.allocs_per_event);
+  alloc_pass &= print_alloc_row("LG datapath (NB)", "frame", lg_nb.allocs_per_event);
   return (speed_pass && alloc_pass) ? 0 : 1;
 }
 

@@ -41,14 +41,14 @@ void LgReceiver::enable() {
 void LgReceiver::disable() {
   enabled_ = false;
   // Flush the reordering buffer in sequence order so nothing is stranded.
-  for (auto& [v, b] : buffer_) {
+  buffer_.for_each([this](std::int64_t, Buffered& b) {
     net::Packet p = std::move(b.pkt);
     p.frame_bytes -= cfg_.header_bytes;
     p.lg.valid = false;
     ++stats_.forwarded;
     stats_.forwarded_bytes += p.frame_bytes;
     if (forward_) forward_(std::move(p));
-  }
+  });
   buffer_.clear();
   buffer_bytes_ = 0;
   outstanding_.clear();
@@ -69,23 +69,19 @@ void LgReceiver::on_mode_change() {
     // forwards out of order from here on, so anything left buffered would be
     // stranded forever. Holes stop gating delivery but stay outstanding_, so
     // a retransmitted copy still counts as recovered, not duplicate.
-    for (auto& [v, b] : buffer_) {
+    buffer_.for_each([this](std::int64_t v, Buffered& b) {
       obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease,
                 trace_actor_, v, 0, /*aux=mode flush*/ 2);
       forward_now(std::move(b.pkt));
-    }
+    });
     buffer_.clear();
     buffer_bytes_ = 0;
     skipped_.clear();
     ack_no_v_ = latest_rx_v_ + 1;
-    if (bp_paused_) {
-      net::Packet r = net::make_control(net::PktKind::kPfcResume);
-      r.pfc.valid = true;
-      r.pfc.pause = false;
-      rev_port_.enqueue(ctrl_q_, std::move(r));
-      ++stats_.resumes_sent;
-      bp_paused_ = false;
-    }
+    // Lift backpressure exactly as Algorithm 2 does, control copies and
+    // resume repeats included: the sender's pause never expires on its own,
+    // so a single lost resume frame would stall the normal queue for good.
+    if (bp_paused_) send_resume();
   } else {
     // NB -> ordered: everything at or below latestRxSeqNo was already
     // forwarded (or expired) out of order; ordering restarts from the next
@@ -161,10 +157,10 @@ void LgReceiver::handle_protected(net::Packet&& p) {
 
   bool was_outstanding = false;
   SimTime hole_detected_at = 0;
-  if (auto it = outstanding_.find(v); it != outstanding_.end()) {
+  if (const SimTime* detected = outstanding_.find(v)) {
     was_outstanding = true;
-    hole_detected_at = it->second;
-    outstanding_.erase(it);
+    hole_detected_at = *detected;
+    outstanding_.erase(v);
   }
   // Recovery is credited only where the packet is actually accepted: a retx
   // that fills a hole ackNo already moved past (live NB -> ordered switch)
@@ -193,7 +189,7 @@ void LgReceiver::handle_protected(net::Packet&& p) {
   // reordering buffer must be dropped even if ackNo has just reached it
   // (the buffered original is what the pending release will forward).
   if (v >= ack_no_v_ &&
-      (buffer_.count(v) != 0 || skipped_.count(v) != 0)) {
+      (buffer_.contains(v) || skipped_.contains(v))) {
     ++stats_.dup_dropped;
     return;
   }
@@ -214,7 +210,7 @@ void LgReceiver::handle_protected(net::Packet&& p) {
                 buffer_bytes_);
       // The hole it leaves will be skipped by the ackNo timeout machinery:
       // mark it skipped immediately so the stream is not stalled forever.
-      skipped_.insert(v);
+      skipped_.emplace(v, {});
       advance_ack_no();
       return;
     }
@@ -278,9 +274,7 @@ void LgReceiver::arm_timeout(std::int64_t v) {
 }
 
 void LgReceiver::on_timeout(std::int64_t v) {
-  auto it = outstanding_.find(v);
-  if (it == outstanding_.end()) return;  // recovered in time
-  outstanding_.erase(it);
+  if (!outstanding_.erase(v)) return;  // recovered in time
   ++stats_.effectively_lost;
   if (!cfg_.preserve_order) {
     // NB mode has no ackNo to stall; this is bookkeeping of an unrecovered
@@ -294,7 +288,7 @@ void LgReceiver::on_timeout(std::int64_t v) {
   // stalls"): the hole is skipped and any buffered successors drain. A hole
   // already behind ackNo (an NB-era timeout firing after a live switch back
   // to ordered mode) needs no skip marker — ackNo never revisits it.
-  if (v >= ack_no_v_) skipped_.insert(v);
+  if (v >= ack_no_v_) skipped_.emplace(v, {});
   advance_ack_no();
 }
 
@@ -308,24 +302,14 @@ void LgReceiver::forward_now(net::Packet&& p) {
 
 void LgReceiver::advance_ack_no() {
   if (release_pending_) return;  // the in-flight release continues the chain
-  while (true) {
-    if (auto it = skipped_.find(ack_no_v_); it != skipped_.end()) {
-      skipped_.erase(it);
-      ++ack_no_v_;
-      continue;
-    }
-    if (buffer_.count(ack_no_v_) != 0) {
-      schedule_release();
-      return;
-    }
-    return;
-  }
+  while (skipped_.erase(ack_no_v_)) ++ack_no_v_;
+  if (buffer_.contains(ack_no_v_)) schedule_release();
 }
 
 void LgReceiver::schedule_release() {
-  auto it = buffer_.find(ack_no_v_);
-  assert(it != buffer_.end());
-  const Buffered& b = it->second;
+  const Buffered* head = buffer_.find(ack_no_v_);
+  assert(head != nullptr);
+  const Buffered& b = *head;
   const BitRate drain =
       cfg_.downstream_drain_rate > 0
           ? std::min(cfg_.recirc_drain_rate, cfg_.downstream_drain_rate)
@@ -350,16 +334,16 @@ void LgReceiver::schedule_release() {
   release_pending_ = true;
   sim_.schedule_at(when, [this] {
     release_pending_ = false;
-    auto it2 = buffer_.find(ack_no_v_);
-    if (it2 == buffer_.end()) {
+    Buffered* head2 = buffer_.find(ack_no_v_);
+    if (head2 == nullptr) {
       // The head moved while this release was in flight (e.g. an
       // ackNoTimeout skipped it); restart the advance logic so buffered
       // successors are not stranded.
       if (enabled_) advance_ack_no();
       return;
     }
-    Buffered b2 = std::move(it2->second);
-    buffer_.erase(it2);
+    Buffered b2 = std::move(*head2);
+    buffer_.erase(ack_no_v_);
     buffer_bytes_ -= b2.pkt.frame_bytes;
     const SimTime lifetime = sim_.now() - b2.entered_at;
     const std::int64_t loops = lifetime / cfg_.recirc_loop + 1;
@@ -386,17 +370,21 @@ void LgReceiver::backpressure_check() {
     send_pfc(true);
     arm_pfc_refresh();
   } else if (buffer_bytes_ <= cfg_.resume_threshold && bp_paused_) {
-    bp_paused_ = false;
-    ++stats_.resumes_sent;
-    obs::emit(sim_.now(), obs::Cat::kPfc, obs::Kind::kResume, trace_actor_,
-              buffer_bytes_, 0, /*aux=sent*/ 0);
-    send_pfc(false);
-    // Repeat the resume a few refresh periods (the timer-packet stream keeps
-    // carrying the state on hardware) so a corrupted resume frame cannot
-    // deadlock the sender under bidirectional corruption.
-    resume_repeats_ = 4;
-    arm_pfc_refresh();
+    send_resume();
   }
+}
+
+void LgReceiver::send_resume() {
+  bp_paused_ = false;
+  ++stats_.resumes_sent;
+  obs::emit(sim_.now(), obs::Cat::kPfc, obs::Kind::kResume, trace_actor_,
+            buffer_bytes_, 0, /*aux=sent*/ 0);
+  send_pfc(false);
+  // Repeat the resume a few refresh periods (the timer-packet stream keeps
+  // carrying the state on hardware) so a corrupted resume frame cannot
+  // deadlock the sender under bidirectional corruption.
+  resume_repeats_ = 4;
+  arm_pfc_refresh();
 }
 
 void LgReceiver::send_pfc(bool pause) {

@@ -13,8 +13,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <variant>
 
 #include "lg/config.h"
 #include "lg/seqno.h"
@@ -22,6 +21,7 @@
 #include "net/port.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/ring.h"
 #include "util/stats.h"
 
 namespace lgsim::lg {
@@ -103,7 +103,7 @@ class LgReceiver {
   std::int64_t debug_ack_no() const { return ack_no_v_; }
   std::int64_t debug_latest_rx() const { return latest_rx_v_; }
   std::int64_t debug_buffer_head() const {
-    return buffer_.empty() ? -1 : buffer_.begin()->first;
+    return buffer_.empty() ? -1 : buffer_.front_key();
   }
   std::size_t debug_outstanding() const { return outstanding_.size(); }
   std::size_t debug_skipped() const { return skipped_.size(); }
@@ -129,6 +129,7 @@ class LgReceiver {
   void advance_ack_no();
   void schedule_release();
   void backpressure_check();
+  void send_resume();
   void send_pfc(bool pause);
   void arm_pfc_refresh();
   void ensure_explicit_ack();
@@ -146,9 +147,10 @@ class LgReceiver {
   bool enabled_ = false;
   std::int64_t latest_rx_v_ = -1;
   std::int64_t ack_no_v_ = 0;
-  std::map<std::int64_t, SimTime> outstanding_;  // missing seq -> detect time
-  std::set<std::int64_t> skipped_;               // timed-out holes ahead of ackNo
-  std::map<std::int64_t, Buffered> buffer_;      // reordering buffer
+  // All three are indexed by virtual seqNo.
+  util::SeqRing<SimTime> outstanding_;        // missing seq -> detect time
+  util::SeqRing<std::monostate> skipped_;     // timed-out holes ahead of ackNo
+  util::SeqRing<Buffered> buffer_;            // reordering buffer
   std::int64_t buffer_bytes_ = 0;
   bool bp_paused_ = false;
   bool pfc_refresh_armed_ = false;

@@ -1,5 +1,6 @@
 #include "lg/sender.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/trace.h"
@@ -23,6 +24,7 @@ void LgSender::enable() {
   enabled_ = true;
   next_v_ = 0;
   latest_rx_v_ = -1;
+  sched_lo_ = 0;
   buffer_.clear();
   buffer_bytes_ = 0;
   // If the link is idle at activation time, arm a dummy burst so that a
@@ -115,13 +117,13 @@ void LgSender::handle_reverse(const net::Packet& p) {
       stats_.dropped_requests += p.lg_notif.count - markable;
     for (int i = 0; i < markable; ++i) {
       const std::int64_t v = first + i;
-      auto it = buffer_.find(v);
-      if (it == buffer_.end()) {
+      Buffered* b = buffer_.find(v);
+      if (b == nullptr) {
         ++stats_.unknown_retx_requests;
         continue;
       }
-      if (!it->second.retx_requested) {
-        it->second.retx_requested = true;
+      if (!b->retx_requested) {
+        b->retx_requested = true;
         ++stats_.retx_requests;
       }
     }
@@ -143,14 +145,19 @@ void LgSender::advance_latest_rx(std::int64_t v) {
   latest_rx_v_ = v;
   // Every buffered copy with seqNo <= latestRxSeqNo becomes actionable at its
   // next recirculation-loop boundary: retransmit if requested, drop otherwise
-  // (Fig. 18).
-  for (auto it = buffer_.begin(); it != buffer_.end() && it->first <= v; ++it) {
-    if (!it->second.check_scheduled) schedule_loop_check(it->first, it->second);
-  }
+  // (Fig. 18). Copies below sched_lo_ are already scheduled and no copy
+  // exists at or above next_v_ yet, so the walk schedules each copy exactly
+  // once. The clamp leaves copies sent after a stale, over-reaching ACK
+  // (one that follows disable()/enable()) for the next advance, exactly as a
+  // rescan from the lowest seqNo would.
+  const std::int64_t last = std::min(v, next_v_ - 1);
+  buffer_.for_each_in(sched_lo_, last, [this](std::int64_t k, Buffered& b) {
+    schedule_loop_check(k, b);
+  });
+  sched_lo_ = std::max(sched_lo_, last + 1);
 }
 
-void LgSender::schedule_loop_check(std::int64_t v, Buffered& b) {
-  b.check_scheduled = true;
+void LgSender::schedule_loop_check(std::int64_t v, const Buffered& b) {
   // Next pass of this copy through the recirculation loop, strictly after
   // now; the per-packet phase models where in the loop the copy sits.
   const SimTime anchor = b.enqueued_at + b.loop_phase;
@@ -161,26 +168,24 @@ void LgSender::schedule_loop_check(std::int64_t v, Buffered& b) {
 }
 
 void LgSender::run_loop_check(std::int64_t v) {
-  auto it = buffer_.find(v);
-  if (it == buffer_.end()) return;
-  Buffered& b = it->second;
-  if (b.retx_requested) {
+  const Buffered* b = buffer_.find(v);
+  if (b == nullptr) return;
+  account_free(v, *b);
+  buffer_bytes_ -= b->copy.frame_bytes;
+  if (b->retx_requested) {
     // Retransmit N copies through the highest-priority queue. The Tofino
-    // uses the multicast primitive to emit all copies in one pass.
+    // uses the multicast primitive to emit all copies in one pass. The
+    // enqueues run the transmit hook, so b is not used past this point.
     const int n = cfg_.n_retx_copies();
     obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kRetx, trace_actor_, v, n);
-    for (int i = 0; i < n; ++i) {
-      net::Packet copy = b.copy;
-      copy.lg.retransmitted = true;
-      port_.enqueue(retx_q_, std::move(copy));
-    }
+    net::Packet copy = b->copy;
+    copy.lg.retransmitted = true;
+    for (int i = 0; i < n; ++i) port_.enqueue(retx_q_, copy);
     stats_.retx_copies_sent += n;
   }
-  account_free(v, b);
-  buffer_bytes_ -= b.copy.frame_bytes;
   obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease, trace_actor_,
             v, buffer_bytes_, /*aux=tx buffer*/ 0);
-  buffer_.erase(it);
+  buffer_.erase(v);
 }
 
 void LgSender::account_free(std::int64_t /*v*/, const Buffered& b) {

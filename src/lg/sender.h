@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 
 #include "lg/config.h"
@@ -22,6 +21,7 @@
 #include "net/port.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/ring.h"
 #include "util/stats.h"
 
 namespace lgsim::lg {
@@ -85,7 +85,6 @@ class LgSender {
     SimTime enqueued_at = 0;
     SimTime loop_phase = 0;  // position within the recirculation loop
     bool retx_requested = false;
-    bool check_scheduled = false;
   };
 
   SeqEra to_wire(std::int64_t v) const;
@@ -96,7 +95,7 @@ class LgSender {
   void arm_dummies();
   net::Packet make_dummy() const;
   void advance_latest_rx(std::int64_t v);
-  void schedule_loop_check(std::int64_t v, Buffered& b);
+  void schedule_loop_check(std::int64_t v, const Buffered& b);
   void run_loop_check(std::int64_t v);
   void account_free(std::int64_t v, const Buffered& b);
 
@@ -110,7 +109,12 @@ class LgSender {
   bool enabled_ = false;
   std::int64_t next_v_ = 0;       // next virtual seq to assign
   std::int64_t latest_rx_v_ = -1; // sender's copy of receiver's latestRxSeqNo
-  std::map<std::int64_t, Buffered> buffer_;
+  // Lowest seqNo whose loop check may still be unscheduled: every buffered
+  // copy below it has its check scheduled, none at or above it does. Copies
+  // are only ever added at next_v_ >= sched_lo_, so an ACK advance need only
+  // walk up from here.
+  std::int64_t sched_lo_ = 0;
+  util::SeqRing<Buffered> buffer_;  // Tx buffer, indexed by virtual seqNo
   std::int64_t buffer_bytes_ = 0;
   Rng jitter_;
   Stats stats_;

@@ -2,6 +2,7 @@
 // loss model + control-message redundancy) and automatic fallback.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "lg/link.h"
@@ -129,6 +130,53 @@ TEST(LiveModeSwitch, OrderedToNbAndBackLosesNothingToTheSwitchItself) {
   EXPECT_GT(rs.recovered, 50);
   EXPECT_LE(rs.effectively_lost, 10);
   EXPECT_FALSE(h.link->receiver().backpressured());
+}
+
+// Reverse-fiber corruption aimed at PFC resume frames: drops every resume
+// frame serialized inside [from, until).
+class ResumeBlackout final : public net::LossModel {
+ public:
+  bool lose(SimTime now, const net::Packet& p) override {
+    return p.kind == net::PktKind::kPfcResume && now >= from && now < until;
+  }
+  SimTime from = -1;
+  SimTime until = -1;
+};
+
+TEST(LiveModeSwitch, HandoffResumeSurvivesReverseCorruption) {
+  // An ordered -> NB switch under backpressure lifts the sender's pause with
+  // the handoff. The pause never expires at the sender, so the resume must
+  // go out like Algorithm 2's: control_copies frames plus refresh repeats.
+  // Corrupting every resume for 2 us after the switch must not strand the
+  // normal queue.
+  BidirHarness h;
+  h.cfg.control_copies = 3;
+  h.make(/*fwd=*/1e-3, /*rev=*/0.0);
+  auto blackout = std::make_unique<ResumeBlackout>();
+  ResumeBlackout* rev = blackout.get();
+  h.link->set_reverse_loss_model(std::move(blackout));
+  const int n = 100'000;
+  h.inject(n);
+  // Switch at the first backpressure, checked at the timer-packet period.
+  bool switched = false;
+  std::function<void()> poll = [&] {
+    if (h.link->receiver().backpressured()) {
+      h.link->set_preserve_order(false);
+      rev->from = h.sim.now();
+      rev->until = h.sim.now() + usec(2);
+      switched = true;
+      return;
+    }
+    h.sim.schedule_in(h.cfg.timer_period, [&] { poll(); });
+  };
+  h.sim.schedule_in(h.cfg.timer_period, [&] { poll(); });
+  h.sim.run();
+
+  ASSERT_TRUE(switched);
+  const auto& rs = h.link->receiver().stats();
+  EXPECT_EQ(h.delivered + rs.effectively_lost, n);
+  EXPECT_FALSE(h.link->receiver().backpressured());
+  EXPECT_FALSE(h.link->forward_port().queue_paused(h.link->normal_queue()));
 }
 
 TEST(LiveModeSwitch, RedundantFlipIsANoOp) {

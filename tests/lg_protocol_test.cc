@@ -386,6 +386,29 @@ TEST(LgProtocol, LossNotificationCopiesConfigurable) {
   EXPECT_EQ(h.out.size(), 10u);
 }
 
+TEST(LgProtocol, DisableEnableCycleWithAcksInFlightPinsSenderSchedule) {
+  // A disable()/enable() cycle while frames and ACKs are still on both
+  // fibers. The first ACK after enable() is stale: it resolves against the
+  // restarted sequence space to a seqNo above anything sent yet, so copies
+  // sent after it must wait for the next ACK advance before their loop
+  // checks are scheduled. The counters below were recorded with the
+  // rescan-from-the-lowest-seqNo sender; the cursor must reproduce them.
+  Harness h;
+  h.make();
+  h.drop_frames({3, 40, 120, 121, 190});
+  h.inject(300);
+  h.sim.schedule_at(usec(10), [&] {
+    h.link->disable_lg();
+    h.link->enable_lg();
+  });
+  h.sim.run();
+  const auto& ss = h.link->sender().stats();
+  EXPECT_EQ(ss.retx_copies_sent, 4);
+  EXPECT_EQ(ss.recirc_loops, 696);
+  EXPECT_EQ(h.link->sender().tx_buffer_pkts(), 0);
+  EXPECT_EQ(h.out.size(), 271u);
+}
+
 TEST(LgEq2, RetxCopiesMatchesPaperExamples) {
   // §3.4: target 1e-8, actual 1e-4 -> N = 1.
   EXPECT_EQ(retx_copies(1e-4, 1e-8), 1);

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "util/env.h"
+#include "util/ring.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/timeseries.h"
@@ -252,6 +259,174 @@ TEST(TimeSeries, MergeKeepsTimeOrder) {
   EXPECT_DOUBLE_EQ(a.samples()[2].value, 3.0);  // ties: this series first
   EXPECT_DOUBLE_EQ(a.samples()[3].value, 4.0);
   EXPECT_DOUBLE_EQ(a.mean_in(0, 25), 1.5);
+}
+
+// ------------------------------------------------------------------ SeqRing
+
+using Ring = util::SeqRing<std::int64_t>;
+using Oracle = std::map<std::int64_t, std::int64_t>;
+
+std::vector<std::pair<std::int64_t, std::int64_t>> walk(Ring& r) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  r.for_each([&](std::int64_t k, std::int64_t& v) { out.emplace_back(k, v); });
+  return out;
+}
+
+void expect_same(Ring& r, const Oracle& m) {
+  ASSERT_EQ(r.size(), m.size());
+  ASSERT_EQ(r.empty(), m.empty());
+  if (!m.empty()) {
+    ASSERT_EQ(r.front_key(), m.begin()->first);
+  }
+  const std::vector<std::pair<std::int64_t, std::int64_t>> want(m.begin(), m.end());
+  ASSERT_EQ(walk(r), want);
+}
+
+TEST(SeqRing, RandomizedDifferentialAgainstMap) {
+  // A sliding window of keys, as the LinkGuardian buffers see them: inserts
+  // mostly near the top, erases anywhere (out of order), probes below,
+  // inside and above the window. The window climbs past 2^16 and 2^17 and
+  // its width changes per phase, so the ring grows several times.
+  std::mt19937_64 rng(20261017);
+  Ring r;
+  Oracle m;
+  std::int64_t base = 0;
+  const std::int64_t widths[] = {4, 16, 17, 40, 300, 2500, 8, 1000};
+  for (int phase = 0; phase < 8; ++phase) {
+    const std::int64_t width = widths[phase];
+    for (int op = 0; op < 25'000; ++op) {
+      const std::uint64_t pick = rng() % 100;
+      if (pick < 45) {
+        // insert-if-absent: an existing key keeps its old value.
+        const std::int64_t k = base + static_cast<std::int64_t>(rng() % width);
+        const std::int64_t val = static_cast<std::int64_t>(rng() % 1000);
+        const auto [it, inserted] = m.emplace(k, val);
+        const auto [ptr, ring_inserted] = r.emplace(k, val);
+        ASSERT_EQ(ring_inserted, inserted) << "key " << k;
+        ASSERT_EQ(*ptr, it->second);
+      } else if (pick < 80 && !m.empty()) {
+        // Erase a present key chosen uniformly (not just the lowest).
+        auto it = m.begin();
+        std::advance(it, static_cast<long>(rng() % std::min<std::size_t>(m.size(), 64)));
+        ASSERT_TRUE(r.erase(it->first));
+        m.erase(it);
+      } else if (pick < 85) {
+        const std::int64_t k = base + static_cast<std::int64_t>(rng() % width);
+        ASSERT_EQ(r.erase(k), m.erase(k) == 1) << "key " << k;
+      } else {
+        // find below, inside and above the current window.
+        const std::int64_t lo = m.empty() ? base : m.begin()->first;
+        const std::int64_t hi = m.empty() ? base : m.rbegin()->first;
+        const std::int64_t probes[] = {
+            lo - 1, lo - 70'000, hi + 1, hi + 65'536, hi + 131'072,
+            lo + static_cast<std::int64_t>(rng() % (hi - lo + 1))};
+        for (std::int64_t k : probes) {
+          const auto it = m.find(k);
+          const std::int64_t* got = r.find(k);
+          ASSERT_EQ(got != nullptr, it != m.end()) << "key " << k;
+          if (got != nullptr) {
+            ASSERT_EQ(*got, it->second);
+          }
+          ASSERT_EQ(r.contains(k), it != m.end());
+        }
+      }
+      if (rng() % 2 == 0) base += 1 + static_cast<std::int64_t>(rng() % 3);
+      // Keys that fell far behind the window are retired, as the protocol
+      // retires acknowledged seqNos.
+      while (!m.empty() && m.begin()->first < base - width) {
+        ASSERT_TRUE(r.erase(m.begin()->first));
+        m.erase(m.begin());
+      }
+      if (op % 997 == 0) expect_same(r, m);
+    }
+    expect_same(r, m);
+  }
+  EXPECT_GT(base, std::int64_t{1} << 17);
+  // In-order walk over a sub-range.
+  std::vector<std::int64_t> sub;
+  const std::int64_t a = m.begin()->first + 3, b = m.rbegin()->first - 3;
+  r.for_each_in(a, b, [&](std::int64_t k, std::int64_t&) { sub.push_back(k); });
+  std::vector<std::int64_t> want;
+  for (auto it = m.lower_bound(a); it != m.end() && it->first <= b; ++it)
+    want.push_back(it->first);
+  EXPECT_EQ(sub, want);
+}
+
+TEST(SeqRing, GrowsExactlyWhenTheKeySpanExceedsCapacity) {
+  Ring r;
+  for (std::int64_t k = 0; k < 16; ++k) r.emplace(k, k);
+  const std::size_t cap = r.capacity();
+  ASSERT_EQ(cap, 16u);
+  // Sliding the full window forward keeps the span at the capacity.
+  for (std::int64_t k = 16; k < 1000; ++k) {
+    ASSERT_TRUE(r.erase(k - 16));
+    r.emplace(k, k);
+    ASSERT_EQ(r.capacity(), cap);
+  }
+  // One key past the span doubles it, and every key survives the rehash.
+  r.emplace(1000, 1000);
+  EXPECT_EQ(r.capacity(), 2 * cap);
+  EXPECT_EQ(r.size(), 17u);
+  for (std::int64_t k = 984; k <= 1000; ++k) {
+    ASSERT_NE(r.find(k), nullptr) << k;
+    EXPECT_EQ(*r.find(k), k);
+  }
+  // An insert below the window grows it the same way: [969, 1001) still
+  // fits 32 slots, [968, 1001) does not.
+  r.emplace(969, -1);
+  EXPECT_EQ(r.capacity(), 2 * cap);
+  r.emplace(968, -2);
+  EXPECT_EQ(r.capacity(), 4 * cap);
+  EXPECT_EQ(r.front_key(), 968);
+  EXPECT_EQ(*r.find(969), -1);
+}
+
+TEST(SeqRing, ClearThenReuseFromZeroLikeAnEnableCycle) {
+  Ring r;
+  const std::int64_t start = (std::int64_t{1} << 17) - 40;  // straddles 2^17
+  for (std::int64_t k = start; k < start + 100; ++k) r.emplace(k, k);
+  const std::size_t cap = r.capacity();
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), cap);
+  EXPECT_EQ(r.find(start + 5), nullptr);
+  // Old slots are reused by keys that map to them; none may look present.
+  for (std::int64_t k = 0; k < 50; ++k) {
+    EXPECT_FALSE(r.contains(k));
+    r.emplace(k, -k);
+  }
+  EXPECT_EQ(r.capacity(), cap);
+  EXPECT_EQ(r.size(), 50u);
+  EXPECT_EQ(r.front_key(), 0);
+  std::int64_t expect = 0;
+  r.for_each([&](std::int64_t k, std::int64_t& v) {
+    EXPECT_EQ(k, expect);
+    EXPECT_EQ(v, -expect);
+    ++expect;
+  });
+  EXPECT_EQ(expect, 50);
+}
+
+TEST(SeqRing, EraseAtEitherEdgeShrinksTheWindow) {
+  Ring r;
+  for (std::int64_t k : {10, 12, 20, 25}) r.emplace(k, k);
+  ASSERT_EQ(r.capacity(), 16u);
+  ASSERT_TRUE(r.erase(10));
+  EXPECT_EQ(r.front_key(), 12);
+  ASSERT_TRUE(r.erase(25));
+  ASSERT_TRUE(r.erase(12));
+  EXPECT_EQ(r.front_key(), 20);
+  // The window is [20, 21) again, so a 16-wide span above it fits.
+  r.emplace(35, 35);
+  EXPECT_EQ(r.capacity(), 16u);
+  ASSERT_TRUE(r.erase(20));
+  ASSERT_TRUE(r.erase(35));
+  EXPECT_TRUE(r.empty());
+  EXPECT_FALSE(r.erase(35));
+  // An empty ring restarts its window anywhere without growing.
+  r.emplace(1'000'000, 1);
+  EXPECT_EQ(r.capacity(), 16u);
+  EXPECT_EQ(r.front_key(), 1'000'000);
 }
 
 TEST(TablePrinter, FormatsNumbers) {
