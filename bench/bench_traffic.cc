@@ -192,8 +192,8 @@ int write_bench_json(const char* path) {
 
   // Intra-cell parallelism on the CorrOpt+LG paper arm: identity across
   // shard counts (the contract) plus the jobs=1 scaling curve. Wall clocks
-  // are honest for THIS machine — `cores` records how many it had; on a
-  // single-core box the curve is flat by construction.
+  // are honest for THIS machine — `build.nproc` records how many cores it
+  // had; on a single-core box the curve is flat by construction.
   const std::int32_t curve_shards[] = {1, 2, 4, 8};
   TimedRun shard_runs[4];
   for (int i = 0; i < 4; ++i) {
@@ -216,15 +216,19 @@ int write_bench_json(const char* path) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f,
+               "  \"build\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), LGSIM_COMPILER,
+               LGSIM_BUILD_TYPE);
+  std::fprintf(f,
                "  \"checks\": {\"hybrid_vs_packet_bit_identical\": %s, "
                "\"jobs_bit_identical\": %s},\n",
                ck.differential ? "true" : "false",
                ck.jobs_identical ? "true" : "false");
   std::fprintf(f,
-               "  \"sharding\": {\"jobs\": 1, \"cores\": %u, "
+               "  \"sharding\": {\"jobs\": 1, "
                "\"identical_shards_1_8\": %s,\n"
                "    \"curve\": [",
-               std::thread::hardware_concurrency(),
                shards_identical ? "true" : "false");
   for (int i = 0; i < 4; ++i) {
     std::fprintf(f, "%s{\"shards\": %d, \"wall_sec\": %.3f}", i ? ", " : "",

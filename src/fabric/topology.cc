@@ -33,6 +33,7 @@ FabricTopology::FabricTopology(const TopologyConfig& cfg) : cfg_(cfg) {
   const std::int64_t n_fs = static_cast<std::int64_t>(cfg.pods) *
                             cfg.fabrics_per_pod * cfg.spines_per_plane;
   links_.resize(n_tf + n_fs);
+  state_.assign(links_.size(), kLinkUp);
   for (std::int32_t p = 0; p < cfg.pods; ++p) {
     for (std::int32_t t = 0; t < cfg.tors_per_pod; ++t) {
       for (std::int32_t f = 0; f < cfg.fabrics_per_pod; ++f) {
@@ -120,6 +121,8 @@ void FabricTopology::apply(const LinkTransition& tr) {
       l.effective_speed = 1.0;
       break;
   }
+  state_[tr.link] = static_cast<std::uint8_t>(
+      (l.up ? kLinkUp : 0) | (l.corrupting ? kLinkCorrupting : 0));
   reconcile(tr.link, before, l);
 }
 
@@ -166,7 +169,7 @@ void FabricTopology::reconcile(std::int64_t id, const Link& before,
       up_spine_[static_cast<std::size_t>(p) * cfg_.fabrics_per_pod +
                 after.fabric] += static_cast<std::int32_t>(sign);
       for (std::int32_t t = 0; t < cfg_.tors_per_pod; ++t) {
-        if (links_[tor_fabric_link(p, t, after.fabric)].up)
+        if (state_[tor_fabric_link(p, t, after.fabric)] & kLinkUp)
           shift_tor_paths(p, t, sign);
       }
     }
@@ -238,7 +241,7 @@ bool FabricTopology::can_disable(std::int64_t link_id, double constraint) const 
   for (std::int32_t t = 0; t < cfg_.tors_per_pod; ++t) {
     const std::int64_t paths =
         paths_per_tor(l.pod, t) -
-        (links_[tor_fabric_link(l.pod, t, l.fabric)].up ? 1 : 0);
+        (state_[tor_fabric_link(l.pod, t, l.fabric)] & kLinkUp);
     if (static_cast<double>(paths) / max_paths < constraint) return false;
   }
   return true;

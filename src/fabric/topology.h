@@ -35,7 +35,10 @@
 //    keeping the result bit-identical (a running +=/-= accumulator would
 //    drift) — and recomputes only the terms a transition invalidated;
 //  - per-switch LinkGuardian counts plus a value histogram answering
-//    `max_lg_links_per_switch()` in O(1).
+//    `max_lg_links_per_switch()` in O(1);
+//  - one state byte per link (`link_state()`, kLinkUp | kLinkCorrupting), a
+//    ~100 KB copy of the two flags the per-flow readers probe, so ECMP
+//    resolution and victim checks stay out of the 48-byte Link records.
 // The pre-refactor full-scan implementations live on as
 // `NaiveFabricMetrics` (naive_metrics.h); randomized differential tests pin
 // the two bit-identical.
@@ -80,6 +83,10 @@ inline double link_penalty(const Link& l, double lg_target_loss) {
   }
   return l.loss_rate;
 }
+
+/// Bits of FabricTopology::link_state().
+inline constexpr std::uint8_t kLinkUp = 1;
+inline constexpr std::uint8_t kLinkCorrupting = 2;
 
 struct TopologyConfig {
   std::int32_t pods = 4;
@@ -130,6 +137,9 @@ class FabricTopology {
 
   std::int64_t n_links() const { return static_cast<std::int64_t>(links_.size()); }
   const Link& link(std::int64_t id) const { return links_[id]; }
+  /// `link(id).up` and `link(id).corrupting` as kLinkUp | kLinkCorrupting
+  /// bits. Written by apply() in the same step as the Link record.
+  std::uint8_t link_state(std::int64_t id) const { return state_[id]; }
   const TopologyConfig& config() const { return cfg_; }
 
   /// Applies one state transition and updates all maintained aggregates.
@@ -201,6 +211,7 @@ class FabricTopology {
 
   TopologyConfig cfg_;
   std::vector<Link> links_;
+  std::vector<std::uint8_t> state_;  // [n_links], see link_state()
   std::int64_t tor_fabric_base_ = 0;
   std::int64_t fabric_spine_base_ = 0;
 

@@ -40,11 +40,19 @@ namespace {
 /// cells. Built single-threaded; cells only issue const path queries.
 struct Scenario {
   fabric::FabricTopology topo;
-  std::vector<HotLink> hot;            // ascending link id
-  std::vector<std::int32_t> hot_index; // link id -> index into hot, or -1
+  std::vector<HotLink> hot;  // ascending link id
   std::int64_t disabled = 0;
 
   explicit Scenario(const fabric::TopologyConfig& tc) : topo(tc) {}
+
+  /// Index into `hot` of a corrupting link that is still up. Every such link
+  /// is hot: build_scenario disables or keeps each corrupting link.
+  std::int32_t hot_of(std::int64_t id) const {
+    const auto it = std::lower_bound(
+        hot.begin(), hot.end(), id,
+        [](const HotLink& h, std::int64_t v) { return h.id < v; });
+    return static_cast<std::int32_t>(it - hot.begin());
+  }
 };
 
 Scenario build_scenario(const EngineConfig& cfg) {
@@ -93,11 +101,6 @@ Scenario build_scenario(const EngineConfig& cfg) {
   }
   std::sort(sc.hot.begin(), sc.hot.end(),
             [](const HotLink& a, const HotLink& b) { return a.id < b.id; });
-  sc.hot_index.assign(static_cast<std::size_t>(n_links), -1);
-  for (std::size_t i = 0; i < sc.hot.size(); ++i) {
-    sc.hot_index[static_cast<std::size_t>(sc.hot[i].id)] =
-        static_cast<std::int32_t>(i);
-  }
   return sc;
 }
 
@@ -212,12 +215,11 @@ BlockOut Cell::generate(std::int64_t lo, std::int64_t hi) const {
         continue;
       }
 
+      // Every link of a resolved path is up, so a corrupting one is hot.
       std::int32_t hot_idx = -1;
       for (std::int32_t i = 0; i < path.n_links; ++i) {
-        const std::int32_t h =
-            sc_.hot_index[static_cast<std::size_t>(path.links[i])];
-        if (h >= 0) {
-          hot_idx = h;
+        if (sc_.topo.link_state(path.links[i]) & fabric::kLinkCorrupting) {
+          hot_idx = sc_.hot_of(path.links[i]);
           break;
         }
       }
@@ -278,7 +280,7 @@ harness::FctConfig Cell::replay_config(std::int32_t hot_idx,
 ///   3. replay the packet groups in parallel.
 /// Packetize decisions never feed back into the generators' RNG streams,
 /// which is what makes deferring the budgets to step 2 legal. Samples merge
-/// order-insensitively (PercentileTracker sorts on query), and each group's
+/// order-insensitively (PercentileTracker ranks on query), and each group's
 /// trial order and seed are fixed by step 2, so the result is byte-identical
 /// for any shard count.
 CellOut Cell::run() const {
@@ -431,6 +433,15 @@ TrafficResult run_traffic(const EngineConfig& cfg, unsigned jobs) {
   TrafficResult res;
   res.hot_links = sc.hot;
   res.disabled_links = sc.disabled;
+  // Reserved up front: growing by doubling would leave the peak RSS to
+  // whether the flow count just crossed a capacity step.
+  std::int64_t n_victim = 0, n_bg = 0;
+  for (const CellOut& c : cells) {
+    n_victim += c.victim_us.count();
+    n_bg += c.bg_us.count();
+  }
+  res.fct_victim_us.reserve(static_cast<std::size_t>(n_victim));
+  res.fct_bg_us.reserve(static_cast<std::size_t>(n_bg));
   for (const CellOut& c : cells) {
     res.generated += c.generated;
     res.stranded += c.stranded;

@@ -20,6 +20,9 @@
 // routed around (their capacity cost shows up as fewer ECMP choices); links
 // it could NOT disable stay in the candidate set corrupting — crossing one
 // makes the flow a *victim*. A (src, dst) pair with no up path is *stranded*.
+//
+// Probes read the topology's one-byte link_state(), not the Link records: at
+// 100K links the records are 4.8 MB, the state bytes ~100 KB.
 #pragma once
 
 #include <array>
@@ -76,7 +79,7 @@ class PathResolver {
         const std::int32_t f = (f0 + i) % F;
         const std::int64_t up1 = topo_.tor_fabric_link(sp, st, f);
         const std::int64_t dn1 = topo_.tor_fabric_link(sp, dt, f);
-        if (topo_.link(up1).up && topo_.link(dn1).up) {
+        if (is_up(up1) && is_up(dn1)) {
           p.links = {up1, dn1, 0, 0};
           p.n_links = 2;
           p.ok = true;
@@ -93,12 +96,12 @@ class PathResolver {
       const std::int32_t f = (f0 + i) % F;
       const std::int64_t up1 = topo_.tor_fabric_link(sp, st, f);
       const std::int64_t dn1 = topo_.tor_fabric_link(dp, dt, f);
-      if (!topo_.link(up1).up || !topo_.link(dn1).up) continue;
+      if (!is_up(up1) || !is_up(dn1)) continue;
       for (std::int32_t j = 0; j < S; ++j) {
         const std::int32_t s = (s0 + j) % S;
         const std::int64_t up2 = topo_.fabric_spine_link(sp, f, s);
         const std::int64_t dn2 = topo_.fabric_spine_link(dp, f, s);
-        if (topo_.link(up2).up && topo_.link(dn2).up) {
+        if (is_up(up2) && is_up(dn2)) {
           p.links = {up1, up2, dn2, dn1};
           p.n_links = 4;
           p.ok = true;
@@ -110,6 +113,10 @@ class PathResolver {
   }
 
  private:
+  bool is_up(std::int64_t link) const {
+    return (topo_.link_state(link) & fabric::kLinkUp) != 0;
+  }
+
   const fabric::FabricTopology& topo_;
   std::int32_t hosts_per_tor_;
 };

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -72,16 +73,23 @@ class PercentileTracker {
   bool empty() const { return samples_.empty(); }
 
   /// p in [0, 100]. p=50 is the median; p=100 the maximum.
+  ///
+  /// On unsorted samples, selects the two neighbouring ranks (nth_element at
+  /// `lo`, then the minimum above it) instead of sorting: O(n), and the very
+  /// doubles the sorted vector holds at `lo` and `lo + 1`.
   double percentile(double p) const {
-    ensure_sorted();
     if (samples_.empty()) return 0.0;
-    if (p <= 0.0) return samples_.front();
-    if (p >= 100.0) return samples_.back();
+    if (p <= 0.0) return min();
+    if (p >= 100.0) return max();
     const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
     const auto lo = static_cast<std::size_t>(rank);
     const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= samples_.size()) return samples_.back();
-    return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+    const auto at = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    if (!sorted_) std::nth_element(samples_.begin(), at, samples_.end());
+    if (lo + 1 >= samples_.size()) return *at;
+    const double next =
+        sorted_ ? at[1] : *std::min_element(at + 1, samples_.end());
+    return *at * (1.0 - frac) + next * frac;
   }
 
   double min() const { ensure_sorted(); return samples_.empty() ? 0.0 : samples_.front(); }
@@ -112,12 +120,14 @@ class PercentileTracker {
   }
 
   /// Folds another tracker's samples in. Percentiles over the merged set are
-  /// identical regardless of merge order (queries sort the union), which is
+  /// identical regardless of merge order (queries rank the union), which is
   /// what lets per-worker trackers be reduced at join deterministically.
   void merge(const PercentileTracker& o) {
     samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
     sorted_ = samples_.empty();
   }
+
+  void reserve(std::size_t n) { samples_.reserve(n); }
 
   void reset() { samples_.clear(); sorted_ = true; }
 

@@ -210,6 +210,18 @@ void check_against_naive(const FabricTopology& t, Rng& rng, int step) {
   }
 }
 
+// The state bytes copy two flags of every Link record; they must agree on
+// every link after every transition.
+void check_state_bytes(const FabricTopology& t, int step) {
+  for (std::int64_t id = 0; id < t.n_links(); ++id) {
+    const Link& l = t.link(id);
+    const int want =
+        (l.up ? kLinkUp : 0) | (l.corrupting ? kLinkCorrupting : 0);
+    ASSERT_EQ(static_cast<int>(t.link_state(id)), want)
+        << "state byte of link " << id << " diverged at step " << step;
+  }
+}
+
 void run_differential(const TopologyConfig& cfg, std::uint64_t seed,
                       int steps, int check_every) {
   FabricTopology t(cfg);
@@ -237,6 +249,8 @@ void run_differential(const TopologyConfig& cfg, std::uint64_t seed,
       t.apply({Kind::kDisable, id});
       --up_count;
     }
+    check_state_bytes(t, step);
+    if (::testing::Test::HasFatalFailure()) return;
     if (step % check_every == check_every - 1 || step == steps - 1) {
       check_against_naive(t, rng, step);
       if (::testing::Test::HasFatalFailure()) return;
@@ -291,6 +305,8 @@ TEST(FabricDifferential, CachedPenaltyTermsMatchNaive) {
         repaired[static_cast<std::size_t>(id)] = 1;
         break;
     }
+    check_state_bytes(t, step);
+    if (HasFatalFailure()) return;
     if (rng.bernoulli(0.3)) {
       target ^= 1;
       ++target_switches;

@@ -1,4 +1,5 @@
 // Tests for the fabric-scale hybrid-fidelity traffic engine (src/traffic).
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -164,6 +165,101 @@ TEST(PathResolver, RoutesAroundDisabledLinksAndStrandsWhenNoneLeft) {
   EXPECT_TRUE(pr.resolve(0, 1, 3).ok);
 }
 
+// Test-local reference resolver: PathResolver's wrap-around ECMP probe
+// order, written against the Link records instead of the state bytes.
+PathInfo reference_resolve(const fabric::FabricTopology& topo,
+                           std::int32_t hosts_per_tor, std::int64_t src,
+                           std::int64_t dst, std::uint64_t hash) {
+  const auto& c = topo.config();
+  const auto pod_of = [&](std::int64_t h) {
+    return static_cast<std::int32_t>(h / hosts_per_tor / c.tors_per_pod);
+  };
+  const auto tor_of = [&](std::int64_t h) {
+    return static_cast<std::int32_t>(h / hosts_per_tor % c.tors_per_pod);
+  };
+  const auto up = [&](std::int64_t id) { return topo.link(id).up; };
+  PathInfo p;
+  const std::int32_t sp = pod_of(src), st = tor_of(src);
+  const std::int32_t dp = pod_of(dst), dt = tor_of(dst);
+  if (sp == dp && st == dt) {
+    p.ok = true;
+    return p;
+  }
+  const std::int32_t F = c.fabrics_per_pod, S = c.spines_per_plane;
+  const auto f0 = static_cast<std::int32_t>(hash % static_cast<std::uint64_t>(F));
+  const auto s0 = static_cast<std::int32_t>((hash >> 16) %
+                                            static_cast<std::uint64_t>(S));
+  for (std::int32_t i = 0; i < F; ++i) {
+    const std::int32_t f = (f0 + i) % F;
+    const std::int64_t a = topo.tor_fabric_link(sp, st, f);
+    const std::int64_t d = topo.tor_fabric_link(dp, dt, f);
+    if (!up(a) || !up(d)) continue;
+    if (sp == dp) {
+      p.links = {a, d, 0, 0};
+      p.n_links = 2;
+      p.ok = true;
+      return p;
+    }
+    for (std::int32_t j = 0; j < S; ++j) {
+      const std::int32_t s = (s0 + j) % S;
+      const std::int64_t b = topo.fabric_spine_link(sp, f, s);
+      const std::int64_t e = topo.fabric_spine_link(dp, f, s);
+      if (up(b) && up(e)) {
+        p.links = {a, b, e, d};
+        p.n_links = 4;
+        p.ok = true;
+        return p;
+      }
+    }
+  }
+  return p;
+}
+
+TEST(PathResolver, StateBytesAgreeWithLinkRecordReference) {
+  // Random small fabrics with random disabled (some of them corrupting)
+  // link sets: every host pair under several hashes resolves to the
+  // reference's path, stranded pairs included.
+  Rng rng(8675309);
+  std::int64_t stranded = 0, intra = 0, inter = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const fabric::TopologyConfig tc{
+        .pods = 1 + static_cast<std::int32_t>(rng.uniform_int(3)),
+        .tors_per_pod = 1 + static_cast<std::int32_t>(rng.uniform_int(4)),
+        .fabrics_per_pod = 1 + static_cast<std::int32_t>(rng.uniform_int(3)),
+        .spines_per_plane = 1 + static_cast<std::int32_t>(rng.uniform_int(4))};
+    const auto hpt = 1 + static_cast<std::int32_t>(rng.uniform_int(2));
+    fabric::FabricTopology topo(tc);
+    const double p_down = rng.uniform(0.0, 0.6);
+    for (std::int64_t id = 0; id < topo.n_links(); ++id) {
+      if (rng.bernoulli(0.2))
+        topo.apply({fabric::LinkTransition::Kind::kCorrupt, id, 1e-3, 1.0});
+      if (rng.bernoulli(p_down))
+        topo.apply({fabric::LinkTransition::Kind::kDisable, id, 0.0, 1.0});
+    }
+    const PathResolver pr(topo, hpt);
+    for (std::int64_t src = 0; src < pr.n_hosts(); ++src) {
+      for (std::int64_t dst = 0; dst < pr.n_hosts(); ++dst) {
+        if (src == dst) continue;
+        for (int k = 0; k < 3; ++k) {
+          const std::uint64_t hash = rng.next_u64();
+          const PathInfo got = pr.resolve(src, dst, hash);
+          const PathInfo want = reference_resolve(topo, hpt, src, dst, hash);
+          ASSERT_EQ(got.ok, want.ok) << "trial " << trial;
+          ASSERT_EQ(got.n_links, want.n_links) << "trial " << trial;
+          for (std::int32_t i = 0; i < got.n_links; ++i)
+            ASSERT_EQ(got.links[i], want.links[i]) << "trial " << trial;
+          if (!got.ok) ++stranded;
+          if (got.n_links == 2) ++intra;
+          if (got.n_links == 4) ++inter;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stranded, 100);
+  EXPECT_GT(intra, 100);
+  EXPECT_GT(inter, 100);
+}
+
 // ---------------------------------------------------------------------------
 // Fluid model
 // ---------------------------------------------------------------------------
@@ -228,6 +324,87 @@ TEST(TrafficEngine, CorrOptDisablesWhenConstraintAllows) {
   EXPECT_EQ(r.hot_links.size(), 0u);
   EXPECT_EQ(r.disabled_links, 6);
   EXPECT_EQ(r.victims, 0);
+}
+
+TEST(TrafficEngine, CorruptingLinksCorrOptDisabledMakeNoVictims) {
+  // At constraint 0.75 on the small fabric CorrOpt may disable fabric-spine
+  // links (each ToR keeps 7 of 8 paths) but no ToR-fabric link (4 of 8), so
+  // the scenario holds disabled and kept corrupting links side by side. A
+  // disabled link keeps its corrupting flag. Rebuild the scenario and every
+  // flow from public calls, and count as victims the flows whose path
+  // crosses a link the Link records call corrupting.
+  EngineConfig c = small_cfg();
+  c.capacity_constraint = 0.75;
+  const TrafficResult r = run_traffic(c, 1);
+  ASSERT_GT(r.disabled_links, 0);
+  ASSERT_GT(r.hot_links.size(), 0u);
+
+  using Kind = fabric::LinkTransition::Kind;
+  fabric::FabricTopology topo(c.topo);
+  fabric::FabricTopology undisabled(c.topo);  // the same, minus the disables
+  Rng rng(c.scenario_seed);
+  std::vector<std::uint8_t> picked(static_cast<std::size_t>(topo.n_links()), 0);
+  std::vector<std::int64_t> ids;
+  while (static_cast<std::int32_t>(ids.size()) < c.corrupting_links) {
+    const auto id = static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(topo.n_links())));
+    if (picked[static_cast<std::size_t>(id)]) continue;
+    picked[static_cast<std::size_t>(id)] = 1;
+    ids.push_back(id);
+  }
+  std::vector<std::int64_t> hot;
+  for (const std::int64_t id : ids) {
+    topo.apply({Kind::kCorrupt, id, c.forced_loss_rate, 1.0});
+    undisabled.apply({Kind::kCorrupt, id, c.forced_loss_rate, 1.0});
+    if (topo.can_disable(id, c.capacity_constraint))
+      topo.apply({Kind::kDisable, id, 0.0, 1.0});
+    else
+      hot.push_back(id);
+  }
+  std::sort(hot.begin(), hot.end());
+  ASSERT_EQ(hot.size(), r.hot_links.size());
+  for (std::size_t i = 0; i < hot.size(); ++i)
+    ASSERT_EQ(hot[i], r.hot_links[i].id) << "scenario replica drifted";
+
+  const PathResolver pr(topo, c.hosts_per_tor);
+  const PathResolver pr_undisabled(undisabled, c.hosts_per_tor);
+  const auto dist = workload::FlowSizeDistribution::make(c.workload);
+  std::int64_t generated = 0, victims = 0, diverted = 0;
+  for (const std::uint64_t seed : c.seeds) {
+    for (std::int32_t slice = 0; slice < c.slices; ++slice) {
+      const double t0 = slice * (c.duration_sec / c.slices);
+      const double t1 = (slice + 1) * (c.duration_sec / c.slices);
+      for (std::int64_t host = 0; host < pr.n_hosts(); ++host) {
+        Rng hr = workload::stream_rng(seed, static_cast<std::uint64_t>(slice),
+                                      static_cast<std::uint64_t>(host));
+        workload::ArrivalProcess arrivals(c.arrivals, dist.mean_bytes(),
+                                          hr.split());
+        for (double t = t0 + arrivals.next_gap_sec(); t < t1;
+             t += arrivals.next_gap_sec()) {
+          ++generated;
+          (void)dist.sample(hr);
+          auto dst = static_cast<std::int64_t>(
+              hr.uniform_int(static_cast<std::uint64_t>(pr.n_hosts() - 1)));
+          if (dst >= host) ++dst;
+          const std::uint64_t hash = hr.next_u64();
+          (void)hr.next_u64();
+          const PathInfo path = pr.resolve(host, dst, hash);
+          bool victim = false;
+          for (std::int32_t i = 0; i < path.n_links; ++i)
+            victim = victim || topo.link(path.links[i]).corrupting;
+          victims += victim ? 1 : 0;
+          const PathInfo alt = pr_undisabled.resolve(host, dst, hash);
+          for (std::int32_t i = 0; i < alt.n_links; ++i)
+            diverted += topo.link(alt.links[i]).up ? 0 : 1;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(r.generated, generated);
+  EXPECT_EQ(r.victims, victims);
+  EXPECT_GT(victims, 0);
+  // The disabled corrupting links sit on paths flows would otherwise take.
+  EXPECT_GT(diverted, 0);
 }
 
 TEST(TrafficEngine, ByteIdenticalAcrossWorkerCounts) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <random>
 #include <utility>
@@ -220,6 +223,81 @@ TEST(PercentileTracker, MergeAfterQueryResorts) {
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(a.percentile(100), 5.0);
+}
+
+// Sort-based reference: the nearest-rank interpolation on a sorted copy.
+double sorted_percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  if (v.empty()) return 0.0;
+  if (p <= 0.0) return v.front();
+  if (p >= 100.0) return v.back();
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= v.size()) return v.back();
+  return v[lo] * (1.0 - frac) + v[lo + 1] * frac;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(PercentileTracker, SelectionMatchesSortBitForBit) {
+  // Queries on unsorted trackers select instead of sorting; they must return
+  // the sort's doubles exactly, whatever order earlier queries, adds, merges
+  // and full-sort calls left the samples in.
+  std::mt19937_64 rng(20261017);
+  constexpr double kPs[] = {0.0, 0.1, 50.0, 99.0, 99.9, 100.0};
+  int queries = 0, unsorted_queries = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool dupes = trial % 2 == 0;  // few distinct values vs continuous
+    auto draw = [&] {
+      return dupes ? static_cast<double>(rng() % 7)
+                   : std::ldexp(static_cast<double>(rng() >> 11), -40);
+    };
+    const std::size_t target =
+        trial < 3 ? static_cast<std::size_t>(trial + 1) : 1 + rng() % 2000;
+    PercentileTracker t;
+    std::vector<double> all;
+    while (all.size() < target) {
+      const std::size_t n =
+          std::min<std::size_t>(target - all.size(), 1 + rng() % 300);
+      if (rng() % 3 == 0) {
+        PercentileTracker other;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double x = draw();
+          other.add(x);
+          all.push_back(x);
+        }
+        t.merge(other);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double x = draw();
+          t.add(x);
+          all.push_back(x);
+        }
+      }
+      // Tracks what the tracker holds: unsorted after a non-empty add or
+      // merge, sorted after mean() or a p <= 0 / p >= 100 query.
+      bool sorted = false;
+      if (rng() % 8 == 0) {
+        (void)t.mean();
+        sorted = true;
+      }
+      for (int q = 0; q < 3; ++q) {
+        const double p =
+            rng() % 4 == 0
+                ? std::ldexp(static_cast<double>(rng() >> 11), -53) * 100.0
+                : kPs[rng() % 6];
+        if (!sorted) ++unsorted_queries;
+        ASSERT_TRUE(same_bits(t.percentile(p), sorted_percentile(all, p)))
+            << "trial " << trial << " n " << all.size() << " p " << p;
+        sorted = sorted || p <= 0.0 || p >= 100.0;
+        ++queries;
+      }
+    }
+  }
+  EXPECT_GT(unsorted_queries, queries / 2);
 }
 
 TEST(CountHistogram, MergeSumsBins) {
