@@ -1,17 +1,17 @@
 // Deployment-simulation engine benchmark (§4.8 at scale): wall-clock of
-// run_deployment with the incremental fabric-capacity engine vs the
-// pre-refactor scan-based reference (DeploymentConfig::naive_metrics), plus
-// the full paper-scale run (260 pods / ~100K links / 52 weeks) that the
-// scan-based engine could not reach.
+// run_deployment vs the pre-refactor engine kept as the oracle
+// reference_deployment (corropt/reference.h: full backlog rescans and
+// scan-based metrics), plus the full paper-scale run (260 pods / ~100K
+// links / 52 weeks) that the scan-based engine could not reach.
 //
 // Special modes (following the bench_micro pattern):
-//   --bench_json=<path>  measure the reference-scale naive/incremental pair
-//                        (asserting bit-identical results) and the
-//                        paper-scale incremental run, and write them as one
+//   --bench_json=<path>  time reference_deployment against run_deployment
+//                        at reference scale (asserting bit-identical
+//                        results) and the paper-scale run, write them as one
 //                        JSON object — the shape of a trajectory point in
 //                        the committed BENCH_deploy.json.
-//   --smoke=<baseline>   reduced mode for ctest: a small naive/incremental
-//                        pair must stay bit-identical and the incremental
+//   --smoke=<baseline>   reduced mode for ctest: on a small config the two
+//                        engines must stay bit-identical and the incremental
 //                        engine must keep a >= 3x wall-clock margin (the
 //                        committed trajectory records ~2 orders; the floor
 //                        is deliberately loose for noisy shared CI runners).
@@ -22,6 +22,7 @@
 
 #include "bench_common.h"
 #include "corropt/corropt.h"
+#include "corropt/reference.h"
 #include "util/table.h"
 
 namespace {
@@ -29,7 +30,7 @@ namespace {
 using namespace lgsim;
 using namespace lgsim::corropt;
 
-DeploymentConfig deploy_cfg(std::int32_t pods, double weeks, bool naive) {
+DeploymentConfig deploy_cfg(std::int32_t pods, double weeks) {
   DeploymentConfig c;
   c.topo = {.pods = pods, .tors_per_pod = 48, .fabrics_per_pod = 4,
             .spines_per_plane = 48};
@@ -39,7 +40,6 @@ DeploymentConfig deploy_cfg(std::int32_t pods, double weeks, bool naive) {
   c.use_linkguardian = true;
   c.sample_period_hours = 1.0;
   c.seed = 7;
-  c.naive_metrics = naive;
   return c;
 }
 
@@ -48,57 +48,31 @@ struct TimedRun {
   double sec = 0;
 };
 
-TimedRun timed_run(const DeploymentConfig& cfg) {
+TimedRun timed_run(DeploymentResult (*engine)(const DeploymentConfig&),
+                   const DeploymentConfig& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  TimedRun r{run_deployment(cfg), 0};
+  TimedRun r{engine(cfg), 0};
   const auto t1 = std::chrono::steady_clock::now();
   r.sec = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() *
           1e-9;
   return r;
 }
 
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-/// Bitwise comparison of two DeploymentResults (every sample field and every
-/// counter) — the same pin the differential tests enforce.
-bool identical(const DeploymentResult& a, const DeploymentResult& b) {
-  if (a.corruption_events != b.corruption_events ||
-      a.disabled_immediately != b.disabled_immediately ||
-      a.kept_active != b.kept_active ||
-      a.disabled_by_optimizer != b.disabled_by_optimizer ||
-      a.max_lg_per_switch != b.max_lg_per_switch ||
-      a.samples.size() != b.samples.size())
-    return false;
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    const auto& x = a.samples[i];
-    const auto& y = b.samples[i];
-    if (!bits_equal(x.time_hours, y.time_hours) ||
-        !bits_equal(x.total_penalty, y.total_penalty) ||
-        !bits_equal(x.least_paths_frac, y.least_paths_frac) ||
-        !bits_equal(x.least_capacity_frac, y.least_capacity_frac) ||
-        x.corrupting_links != y.corrupting_links ||
-        x.disabled_links != y.disabled_links || x.lg_links != y.lg_links)
-      return false;
-  }
-  return true;
-}
-
 struct Comparison {
-  TimedRun naive;
+  TimedRun reference;
   TimedRun incremental;
   bool bit_identical = false;
   double speedup() const {
-    return incremental.sec > 0 ? naive.sec / incremental.sec : 0;
+    return incremental.sec > 0 ? reference.sec / incremental.sec : 0;
   }
 };
 
 Comparison compare_engines(std::int32_t pods, double weeks) {
   Comparison c;
-  c.naive = timed_run(deploy_cfg(pods, weeks, /*naive=*/true));
-  c.incremental = timed_run(deploy_cfg(pods, weeks, /*naive=*/false));
-  c.bit_identical = identical(c.naive.res, c.incremental.res);
+  const DeploymentConfig cfg = deploy_cfg(pods, weeks);
+  c.reference = timed_run(reference_deployment, cfg);
+  c.incremental = timed_run(run_deployment, cfg);
+  c.bit_identical = bit_identical(c.reference.res, c.incremental.res);
   return c;
 }
 
@@ -106,16 +80,16 @@ int write_bench_json(const char* path) {
   // Reference scale: the 16-pod / 52-week configuration BENCH_deploy.json's
   // speedup claim is measured at (hourly samples, LG+CorrOpt at 75%).
   const Comparison ref = compare_engines(16, 52.0);
-  std::printf("reference (16 pods, 52 weeks): naive %.3f s, incremental %.3f s, "
-              "speedup %.1fx, bit_identical=%s\n",
-              ref.naive.sec, ref.incremental.sec, ref.speedup(),
+  std::printf("reference (16 pods, 52 weeks): reference_deployment %.3f s, "
+              "incremental %.3f s, speedup %.1fx, bit_identical=%s\n",
+              ref.reference.sec, ref.incremental.sec, ref.speedup(),
               ref.bit_identical ? "true" : "false");
-  // Paper scale, incremental engine only — the naive engine is what made
+  // Paper scale, incremental engine only — the scan engine is what made
   // this configuration infeasible in the first place.
-  const DeploymentConfig paper = deploy_cfg(260, 52.0, /*naive=*/false);
+  const DeploymentConfig paper = deploy_cfg(260, 52.0);
   const std::int64_t links =
       fabric::FabricTopology(paper.topo).n_links();
-  const TimedRun pr = timed_run(paper);
+  const TimedRun pr = timed_run(run_deployment, paper);
   std::printf("paper scale (260 pods, %lld links, 52 weeks): %.3f s, "
               "%lld corruption events, %zu samples\n",
               static_cast<long long>(links), pr.sec,
@@ -131,7 +105,7 @@ int write_bench_json(const char* path) {
                "  \"reference_scale\": {\"pods\": 16, \"weeks\": 52, "
                "\"naive_sec\": %.3f, \"incremental_sec\": %.3f, "
                "\"speedup\": %.1f, \"bit_identical\": %s},\n",
-               ref.naive.sec, ref.incremental.sec, ref.speedup(),
+               ref.reference.sec, ref.incremental.sec, ref.speedup(),
                ref.bit_identical ? "true" : "false");
   std::fprintf(f,
                "  \"paper_scale\": {\"pods\": 260, \"links\": %lld, "
@@ -161,7 +135,8 @@ int run_smoke(const char* baseline_path) {
   const bool speed_pass = c.speedup() >= kFloor;
   std::printf("--- bench_deploy smoke (8 pods, 6 weeks; baseline %s) ---\n",
               baseline_path);
-  std::printf("%-32s %10.3f s\n", "naive (scan-based) engine", c.naive.sec);
+  std::printf("%-32s %10.3f s\n", "reference_deployment (oracle)",
+              c.reference.sec);
   std::printf("%-32s %10.3f s\n", "incremental engine", c.incremental.sec);
   std::printf("%-32s %9.1fx  (floor %.1fx)  [%s]\n", "speedup", c.speedup(),
               kFloor, speed_pass ? "PASS" : "FAIL");
@@ -192,8 +167,8 @@ int main(int argc, char** argv) {
   const double weeks = bench::scale() >= 1.0 ? 52.0 : 6.0;
   const Comparison c = compare_engines(pods, weeks);
   TablePrinter t({"Engine", "wall (s)", "speedup", "bit-identical"});
-  t.add_row({"naive (full scans per sample)", TablePrinter::fmt(c.naive.sec, 3),
-             "1.00x", "-"});
+  t.add_row({"reference (full rescans and scans)",
+             TablePrinter::fmt(c.reference.sec, 3), "1.00x", "-"});
   t.add_row({"incremental capacity engine",
              TablePrinter::fmt(c.incremental.sec, 3),
              TablePrinter::fmt(c.speedup(), 1) + "x",
@@ -202,7 +177,7 @@ int main(int argc, char** argv) {
   if (bench::scale() >= 1.0) {
     std::printf("\nPaper scale (260 pods / ~100K links / 52 weeks, "
                 "incremental only):\n");
-    const TimedRun pr = timed_run(deploy_cfg(260, 52.0, /*naive=*/false));
+    const TimedRun pr = timed_run(run_deployment, deploy_cfg(260, 52.0));
     std::printf("  %.3f s wall, %lld corruption events, %zu samples\n", pr.sec,
                 static_cast<long long>(pr.res.corruption_events),
                 pr.res.samples.size());

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "fabric/naive_metrics.h"
+#include <stdexcept>
+#include <string>
 
 namespace lgsim::corropt {
 
@@ -159,14 +159,33 @@ class ActiveCorrupting {
   std::vector<Entry> entries_;
 };
 
+/// Rejects configs the main loop cannot run: a period or MTTF that is not
+/// positive never advances time (the sample list grows until memory runs
+/// out, or one link re-fails at the same instant forever). The negated
+/// comparisons also reject NaN.
+void validate(const DeploymentConfig& cfg) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("DeploymentConfig: ") + what);
+  };
+  if (!(cfg.sample_period_hours > 0)) fail("sample_period_hours must be > 0");
+  if (!(cfg.mttf_hours > 0)) fail("mttf_hours must be > 0");
+  if (!(cfg.duration_hours >= 0)) fail("duration_hours must be >= 0");
+  if (!(cfg.capacity_constraint >= 0 && cfg.capacity_constraint <= 1))
+    fail("capacity_constraint must be in [0, 1]");
+  if (!(cfg.repair_fast_fraction >= 0 && cfg.repair_fast_fraction <= 1))
+    fail("repair_fast_fraction must be in [0, 1]");
+  if (!(cfg.repair_fast_hours >= 0) || !(cfg.repair_slow_hours >= 0))
+    fail("repair times must be >= 0");
+}
+
 }  // namespace
 
 DeploymentResult run_deployment(const DeploymentConfig& cfg) {
+  validate(cfg);
   DeploymentResult res;
   res.cfg = cfg;
 
   using fabric::LinkTransition;
-  using fabric::NaiveFabricMetrics;
   fabric::FabricTopology topo(cfg.topo);
   Rng rng(cfg.seed);
   Rng repair_rng = rng.split();
@@ -243,33 +262,14 @@ DeploymentResult run_deployment(const DeploymentConfig& cfg) {
     } else {
       DeploymentSample s;
       s.time_hours = now;
-      if (cfg.naive_metrics) {
-        // Pre-refactor reference path: full O(links) scans per sample.
-        s.total_penalty = NaiveFabricMetrics::total_penalty(topo, cfg.lg_target_loss);
-        s.least_paths_frac = NaiveFabricMetrics::least_paths_per_tor_frac(topo);
-        s.least_capacity_frac =
-            NaiveFabricMetrics::least_capacity_per_pod_frac(topo);
-        s.corrupting_links = 0;
-        s.disabled_links = 0;
-        s.lg_links = 0;
-        for (std::int64_t i = 0; i < topo.n_links(); ++i) {
-          const auto& l = topo.link(i);
-          if (!l.up) ++s.disabled_links;
-          if (l.up && l.corrupting) ++s.corrupting_links;
-          if (l.up && l.lg_enabled) ++s.lg_links;
-        }
-        res.max_lg_per_switch = std::max(
-            res.max_lg_per_switch, NaiveFabricMetrics::max_lg_links_per_switch(topo));
-      } else {
-        s.total_penalty = topo.total_penalty(cfg.lg_target_loss);
-        s.least_paths_frac = topo.least_paths_per_tor_frac();
-        s.least_capacity_frac = topo.least_capacity_per_pod_frac();
-        s.corrupting_links = static_cast<std::int32_t>(topo.corrupting_up_links());
-        s.disabled_links = static_cast<std::int32_t>(topo.disabled_links());
-        s.lg_links = static_cast<std::int32_t>(topo.lg_up_links());
-        res.max_lg_per_switch =
-            std::max(res.max_lg_per_switch, topo.max_lg_links_per_switch());
-      }
+      s.total_penalty = topo.total_penalty(cfg.lg_target_loss);
+      s.least_paths_frac = topo.least_paths_per_tor_frac();
+      s.least_capacity_frac = topo.least_capacity_per_pod_frac();
+      s.corrupting_links = static_cast<std::int32_t>(topo.corrupting_up_links());
+      s.disabled_links = static_cast<std::int32_t>(topo.disabled_links());
+      s.lg_links = static_cast<std::int32_t>(topo.lg_up_links());
+      res.max_lg_per_switch =
+          std::max(res.max_lg_per_switch, topo.max_lg_links_per_switch());
       res.samples.push_back(s);
       next_sample += cfg.sample_period_hours;
     }

@@ -20,11 +20,10 @@
 // backlog of not-yet-disablable links per pod, and a repair re-optimizes
 // only the repaired link's pod: capacity checks are pod-local, so no other
 // pod's backlog can have become disablable, and the result is bit-identical
-// to a full pass over every backlog. The pre-refactor full-scan metrics
-// remain available behind `DeploymentConfig::naive_metrics`
-// (fabric/naive_metrics.h); both paths produce bit-identical
-// `DeploymentResult`s, which the differential tests and `bench_deploy`
-// enforce.
+// to a full pass over every backlog. The pre-refactor engine (full backlog
+// rescans, scan-based metrics) lives on only as the oracle
+// `reference_deployment` (corropt/reference.h, library `lgsim_reference`);
+// the differential tests and `bench_deploy` hold the two bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -111,11 +110,6 @@ struct DeploymentConfig {
   /// Metric sampling period.
   double sample_period_hours = 1.0;
   std::uint64_t seed = 7;
-  /// Compute per-sample metrics with the scan-based NaiveFabricMetrics
-  /// reference instead of the incremental engine. Same events, same RNG
-  /// streams — the DeploymentResult must be bit-identical either way (the
-  /// differential tests and bench_deploy --smoke assert this).
-  bool naive_metrics = false;
 };
 
 struct DeploymentSample {
@@ -138,6 +132,10 @@ struct DeploymentResult {
   std::int32_t max_lg_per_switch = 0;
 };
 
+/// Throws std::invalid_argument on a config it cannot run: a sample period
+/// or MTTF that is not positive, a negative duration or repair time, a
+/// capacity constraint or fast-repair fraction outside [0, 1], or NaN in
+/// any of them.
 DeploymentResult run_deployment(const DeploymentConfig& cfg);
 
 /// Effective link speed of a LinkGuardian-protected link as a function of

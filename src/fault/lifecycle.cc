@@ -58,9 +58,8 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
     telemetry::EstimatorConfig ec;
     ec.tau = cfg.probe_tau;
     ec.period = cfg.probe_period;
-    ec.window = cfg.probe_window > 0
-                    ? cfg.probe_window
-                    : cfg.probe_tau / std::max<SimTime>(1, cfg.probe_period) + 2;
+    // Enough slots to cover probe_tau.
+    ec.window = cfg.probe_tau / std::max<SimTime>(1, cfg.probe_period) + 2;
     estimator = std::make_unique<telemetry::SeqWindowEstimator>(ec);
     telemetry::ProberConfig pc;
     pc.period = cfg.probe_period;

@@ -88,8 +88,6 @@ struct LifecycleConfig {
   /// lost probe a 5e-4 loss estimate — above detect_threshold, so detection
   /// latency is the time to the first lost probe plus a poll quantum.
   SimTime probe_tau = msec(20);
-  /// Estimator slot count; 0 = sized automatically to cover probe_tau.
-  std::int64_t probe_window = 0;
 };
 
 struct LifecycleResult {

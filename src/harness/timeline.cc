@@ -42,7 +42,6 @@ TimelineResult run_timeline(const TimelineConfig& cfg) {
   pc.link.normal_queue_bytes = 800'000;
   pc.lg = lg::tuned_for_rate(pc.lg, cfg.rate);
   pc.lg.actual_loss_rate = cfg.loss_rate;
-  pc.lg.preserve_order = cfg.preserve_order;
   pc.lg.backpressure = cfg.backpressure;
   if (cfg.transport == Transport::kDctcp) pc.link.ecn_threshold_bytes = 100'000;
   pc.lg.recirc_buffer_bytes =
@@ -90,9 +89,7 @@ TimelineResult run_timeline(const TimelineConfig& cfg) {
   snd.start(1'000'000'000'000LL);
 
   sim.schedule_at(cfg.t_corruption, [&] { loss->activate(); });
-  if (cfg.enable_lg) {
-    sim.schedule_at(cfg.t_lg, [&] { path.link().enable_lg(); });
-  }
+  sim.schedule_at(cfg.t_lg, [&] { path.link().enable_lg(); });
 
   PeriodicTask sampler(sim, cfg.sample_period, [&](SimTime now) {
     res.goodput_gbps.record(

@@ -24,9 +24,7 @@ struct TimelineConfig {
   /// reTxReqs registers are what LinkGuardian cannot recover and what makes
   /// the reordering backlog grow when backpressure is off (Fig. 9b).
   double mean_burst = 2.0;
-  bool enable_lg = true;
-  bool backpressure = true;       // Fig. 9b disables this
-  bool preserve_order = true;
+  bool backpressure = true;  // Fig. 9b disables this
   /// Recirculation (reordering) buffer budget. Our recovery model bounds the
   /// unpaused backlog at ~ackNoTimeout x line rate (~23 KB at 25G), tighter
   /// than the testbed, so the overflow demonstration of Fig. 9b uses a
@@ -50,7 +48,6 @@ struct TimelineResult {
   TimeSeries qdepth_bytes;     // sender-switch normal queue
   TimeSeries rx_buffer_bytes;  // LinkGuardian reordering buffer
   TimeSeries e2e_retx;         // cumulative end-to-end retransmissions
-  double effective_speed_gbps = 0.0;  // measured separately with raw load
   std::int64_t reorder_drops = 0;     // reordering-buffer overflow drops
   std::int64_t lg_effectively_lost = 0;
   std::int64_t e2e_retx_total = 0;

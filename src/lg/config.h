@@ -65,18 +65,9 @@ struct LgConfig {
   /// Rate at which the recirculation-based reordering buffer drains
   /// (recirculation ports run at 100G regardless of front-panel speed).
   BitRate recirc_drain_rate = gbps(100);
-  /// Rate of the downstream egress port the released packets leave through.
-  /// Under sustained full utilization this is what actually bounds draining:
-  /// releases compete with the arriving line-rate stream, so a backlog that
-  /// forms during a recovery stall persists until the sender is paused (the
-  /// reason backpressure is "not considered optional", §4.2). 0 = set to the
-  /// protected link's rate by ProtectedLink.
-  BitRate downstream_drain_rate = 0;
   /// Byte capacity of the recirculation buffer (the paper restricts the
   /// testbed switches to 200 KB).
   std::int64_t recirc_buffer_bytes = 200'000;
-  /// Switch pipeline traversal latency (ingress parse -> egress deparse).
-  SimTime pipeline_latency = nsec(400);
   /// Number of consecutive losses one loss notification can request; the
   /// implementation provisions 5 one-bit reTxReqs registers (§3.5).
   int max_consecutive_retx = 5;

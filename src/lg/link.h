@@ -50,7 +50,7 @@ class ProtectedLink {
 
   ProtectedLink(Simulator& sim, const LinkSpec& spec, const LgConfig& cfg)
       : sim_(sim),
-        cfg_(patch_drain(cfg, spec)),
+        cfg_(cfg),
         fwd_port_(sim, spec.name + ".fwd", spec.rate, spec.prop_delay),
         rev_port_(sim, spec.name + ".rev", spec.rate, spec.prop_delay) {
     retx_q_ = fwd_port_.add_queue({});  // highest priority: retransmissions
@@ -141,23 +141,7 @@ class ProtectedLink {
   net::EgressPort& reverse_port() { return rev_port_; }
   int normal_queue() const { return normal_q_; }
 
-  /// Convenience: sample both buffer occupancies (Fig. 14).
-  void sample_buffers() {
-    sender_->sample_buffers();
-    receiver_->sample_buffers();
-  }
-
  private:
-  static LgConfig patch_drain(LgConfig cfg, const LinkSpec& spec) {
-    // The reordering buffer drains through the recirculation port (100G)
-    // into the downstream egress queue — the released bytes contend with
-    // arrivals *there*, not in the recirculation queue the paper's "Rx
-    // buffer" metric measures. downstream_drain_rate stays 0 (= recirc rate)
-    // unless an experiment explicitly wants to couple the two.
-    (void)spec;
-    return cfg;
-  }
-
   void on_reverse_arrival(net::Packet&& p) {
     // All LinkGuardian control state rides the reverse direction: explicit
     // ACKs, piggybacked ACK headers, loss notifications and PFC frames are

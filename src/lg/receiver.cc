@@ -310,11 +310,8 @@ void LgReceiver::schedule_release() {
   const Buffered* head = buffer_.find(ack_no_v_);
   assert(head != nullptr);
   const Buffered& b = *head;
-  const BitRate drain =
-      cfg_.downstream_drain_rate > 0
-          ? std::min(cfg_.recirc_drain_rate, cfg_.downstream_drain_rate)
-          : cfg_.recirc_drain_rate;
-  const SimTime spacing = serialization_time(b.pkt.wire_bytes(), drain);
+  const SimTime spacing =
+      serialization_time(b.pkt.wire_bytes(), cfg_.recirc_drain_rate);
   // The head of a fresh drain waits for its next pass through the
   // recirculation loop (its position in the loop is the random per-packet
   // phase); once the chain is flowing, buffered packets are spread through

@@ -52,7 +52,6 @@ class LgReceiver {
     std::int64_t recirc_loops = 0;     // reorder-buffer loop traversals
     std::int64_t recirc_loop_bytes = 0;
     lgsim::PercentileTracker retx_delay_us;       // Fig. 19
-    lgsim::PercentileTracker rx_buffer_bytes;     // Fig. 14 (sampled)
   };
 
   using ForwardFn = std::function<void(net::Packet&&)>;
@@ -94,7 +93,6 @@ class LgReceiver {
 
   std::int64_t reorder_buffer_bytes() const { return buffer_bytes_; }
   std::int64_t reorder_buffer_pkts() const { return static_cast<std::int64_t>(buffer_.size()); }
-  void sample_buffers() { stats_.rx_buffer_bytes.add(static_cast<double>(buffer_bytes_)); }
 
   const Stats& stats() const { return stats_; }
   Stats& mutable_stats() { return stats_; }

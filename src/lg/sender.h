@@ -22,7 +22,6 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "util/ring.h"
-#include "util/stats.h"
 
 namespace lgsim::lg {
 
@@ -40,7 +39,6 @@ class LgSender {
     std::int64_t dummies_armed = 0;        // dummy bursts triggered
     std::int64_t recirc_loops = 0;         // total loop traversals (Table 4)
     std::int64_t recirc_loop_bytes = 0;
-    lgsim::PercentileTracker tx_buffer_bytes;  // sampled occupancy
   };
 
   /// `port` must already have the three queues created, identified by the
@@ -69,9 +67,6 @@ class LgSender {
   /// Current Tx buffer occupancy in frame bytes.
   std::int64_t tx_buffer_bytes() const { return buffer_bytes_; }
   std::int64_t tx_buffer_pkts() const { return static_cast<std::int64_t>(buffer_.size()); }
-
-  /// Sample the buffer occupancy into the stats percentile tracker.
-  void sample_buffers() { stats_.tx_buffer_bytes.add(static_cast<double>(buffer_bytes_)); }
 
   const Stats& stats() const { return stats_; }
   Stats& mutable_stats() { return stats_; }

@@ -25,15 +25,6 @@ const char* scheme_name(Scheme s) {
   return "?";
 }
 
-const char* fidelity_name(Fidelity f) {
-  switch (f) {
-    case Fidelity::kHybrid: return "hybrid";
-    case Fidelity::kAllPacket: return "all-packet";
-    case Fidelity::kFluidOnly: return "fluid-only";
-  }
-  return "?";
-}
-
 namespace {
 
 /// The corruption scenario: one topology snapshot shared (read-only) by all
@@ -119,7 +110,6 @@ struct BlockOut {
   std::int64_t stranded = 0;
   std::int64_t victims = 0;
   std::int64_t fluid_flows = 0;
-  lgsim::PercentileTracker victim_us;
   lgsim::PercentileTracker bg_us;
   std::vector<Candidate> cands;
 };
@@ -225,17 +215,13 @@ BlockOut Cell::generate(std::int64_t lo, std::int64_t hi) const {
       }
       if (hot_idx >= 0) ++out.victims;
 
-      // Victims are packet-level unless fluid-only, background only in
-      // all-packet mode; either way only within the cell budget, which is
-      // resolved after generation.
+      // Victims are packet-level, background only in all-packet mode; either
+      // way only within the cell budget, which is resolved after generation.
       const Candidate c{bytes, aux, hot_idx, path.n_links};
-      const bool budgeted = hot_idx >= 0
-                                ? cfg_.fidelity != Fidelity::kFluidOnly
-                                : cfg_.fidelity == Fidelity::kAllPacket;
-      if (budgeted) {
+      if (hot_idx >= 0 || cfg_.fidelity == Fidelity::kAllPacket) {
         out.cands.push_back(c);
       } else {
-        (hot_idx >= 0 ? out.victim_us : out.bg_us).add(fluid_us(c));
+        out.bg_us.add(fluid_us(c));
         ++out.fluid_flows;
       }
     }
@@ -309,7 +295,6 @@ CellOut Cell::run() const {
     out.stranded += b.stranded;
     out.victims += b.victims;
     out.fluid_flows += b.fluid_flows;
-    out.victim_us.merge(b.victim_us);
     out.bg_us.merge(b.bg_us);
     for (const Candidate& c : b.cands) {
       const bool victim = c.hot_idx >= 0;
@@ -389,13 +374,6 @@ void validate(const EngineConfig& cfg) {
 }
 
 }  // namespace
-
-double TrafficResult::p_all(double p) const {
-  lgsim::PercentileTracker all;
-  all.merge(fct_victim_us);
-  all.merge(fct_bg_us);
-  return all.percentile(p);
-}
 
 void TrafficResult::export_metrics(obs::MetricsRegistry& m) const {
   m.counter("traffic.flows_generated") += generated;

@@ -4,7 +4,7 @@
 // workload::ArrivalSpec per-host arrival processes, places them on a
 // fabric::FabricTopology under a corruption *scenario* (CorrOpt-only vs
 // CorrOpt+LinkGuardian handling of a batch of corrupting links), and
-// simulates them at one of three fidelities:
+// simulates them at one of two fidelities:
 //
 //   kHybrid (default): flows whose ECMP path crosses a corrupting link that
 //     CorrOpt could not disable ("victim flows") run packet-by-packet through
@@ -17,9 +17,6 @@
 //     results are bit-identical to kHybrid by construction — the
 //     golden/differential anchor (tests/traffic_test.cc, bench_traffic
 //     --smoke).
-//   kFluidOnly: victims also go through the fluid model, eating recovery
-//     penalties sampled from the scenario's residual-loss rates. Scaling
-//     sanity mode.
 //
 // Determinism contract (the harness::run_grid one): the run is split into
 // {seed x time-slice} cells; each cell draws every flow attribute from
@@ -54,10 +51,9 @@ namespace lgsim::traffic {
 /// How corrupting links that CorrOpt cannot disable are handled — the two
 /// arms of the paper's §4.8 deployment comparison.
 enum class Scheme : std::uint8_t { kCorrOptOnly, kCorrOptLg };
-enum class Fidelity : std::uint8_t { kHybrid, kAllPacket, kFluidOnly };
+enum class Fidelity : std::uint8_t { kHybrid, kAllPacket };
 
 const char* scheme_name(Scheme s);
-const char* fidelity_name(Fidelity f);
 
 struct EngineConfig {
   fabric::TopologyConfig topo;
@@ -137,8 +133,6 @@ struct TrafficResult {
   }
   double p_victim(double p) const { return fct_victim_us.percentile(p); }
   double p_bg(double p) const { return fct_bg_us.percentile(p); }
-  /// Percentile over victim + background together.
-  double p_all(double p) const;
 
   /// Writes the traffic.* counters/distributions (see DESIGN.md §8 table).
   void export_metrics(obs::MetricsRegistry& m) const;

@@ -3,12 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <functional>
-#include <queue>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "corropt/corropt.h"
+#include "corropt/reference.h"
 
 namespace lgsim::corropt {
 namespace {
@@ -184,160 +185,16 @@ TEST(Deployment, MaxLgPerSwitchStaysSmall) {
   EXPECT_LE(res.max_lg_per_switch, 48);
 }
 
-bool bits_equal(double a, double b) {
-  std::uint64_t ua, ub;
-  std::memcpy(&ua, &a, sizeof ua);
-  std::memcpy(&ub, &b, sizeof ub);
-  return ua == ub;
-}
-
-void expect_bit_identical(const DeploymentResult& a, const DeploymentResult& b) {
-  EXPECT_EQ(a.corruption_events, b.corruption_events);
-  EXPECT_EQ(a.disabled_immediately, b.disabled_immediately);
-  EXPECT_EQ(a.kept_active, b.kept_active);
-  EXPECT_EQ(a.disabled_by_optimizer, b.disabled_by_optimizer);
-  EXPECT_EQ(a.max_lg_per_switch, b.max_lg_per_switch);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    const auto& sa = a.samples[i];
-    const auto& sb = b.samples[i];
-    ASSERT_TRUE(bits_equal(sa.time_hours, sb.time_hours)) << "sample " << i;
-    ASSERT_TRUE(bits_equal(sa.total_penalty, sb.total_penalty))
-        << "sample " << i;
-    ASSERT_TRUE(bits_equal(sa.least_paths_frac, sb.least_paths_frac))
-        << "sample " << i;
-    ASSERT_TRUE(bits_equal(sa.least_capacity_frac, sb.least_capacity_frac))
-        << "sample " << i;
-    ASSERT_EQ(sa.corrupting_links, sb.corrupting_links) << "sample " << i;
-    ASSERT_EQ(sa.disabled_links, sb.disabled_links) << "sample " << i;
-    ASSERT_EQ(sa.lg_links, sb.lg_links) << "sample " << i;
-  }
-}
-
-// The tentpole's correctness pin: the incremental capacity engine and the
-// scan-based NaiveFabricMetrics reference must produce bit-identical
-// DeploymentResults — same events, same RNG streams, only the per-sample
-// metric computation differs.
-TEST(DeploymentDifferential, IncrementalMatchesNaiveBitwise) {
-  for (const bool lg : {false, true}) {
-    auto cfg = small_cfg(lg);
-    cfg.naive_metrics = false;
-    const auto incremental = run_deployment(cfg);
-    cfg.naive_metrics = true;
-    const auto naive = run_deployment(cfg);
-    expect_bit_identical(incremental, naive);
-    if (::testing::Test::HasFatalFailure()) {
-      ADD_FAILURE() << "diverged with use_linkguardian=" << lg;
-      return;
-    }
-  }
-}
-
-// Oracle for the pod-local optimizer: run_deployment's loop as it was before
-// the backlog went per-pod — one global (loss desc, link asc) backlog,
-// re-checked in full at every repair. Same stream, same RNG draws, same
-// incremental metric engine; only the optimizer's scope differs.
-DeploymentResult full_rescan_deployment(const DeploymentConfig& cfg) {
-  using fabric::LinkTransition;
-  using Kind = LinkTransition::Kind;
-  DeploymentResult res;
-  res.cfg = cfg;
-  fabric::FabricTopology topo(cfg.topo);
-  Rng rng(cfg.seed);
-  Rng repair_rng = rng.split();
-  CorruptionStream stream(topo.n_links(), cfg.duration_hours, cfg.mttf_hours,
-                          rng);
-  struct Repair {
-    double time_hours;
-    std::int64_t link;
-    bool operator>(const Repair& o) const { return time_hours > o.time_hours; }
-  };
-  std::priority_queue<Repair, std::vector<Repair>, std::greater<>> repairs;
-  struct Active {
-    double loss_rate;
-    std::int64_t link;
-  };
-  std::vector<Active> active;
-
-  auto disable = [&](std::int64_t id, double now) {
-    topo.apply({Kind::kDisable, id});
-    const double d = repair_rng.bernoulli(cfg.repair_fast_fraction)
-                         ? cfg.repair_fast_hours
-                         : cfg.repair_slow_hours;
-    repairs.push({now + d, id});
-  };
-
-  double next_sample = cfg.sample_period_hours;
-  for (double now = 0.0; now < cfg.duration_hours;) {
-    const double t_trace = !stream.done() ? stream.next_time_hours() : 1e18;
-    const double t_repair = !repairs.empty() ? repairs.top().time_hours : 1e18;
-    const double t_next = std::min({t_trace, t_repair, next_sample});
-    if (t_next >= cfg.duration_hours) break;
-    now = t_next;
-    if (t_next == t_trace) {
-      ++res.corruption_events;
-      const CorruptionEvent ev = stream.pop();
-      const fabric::Link& l = topo.link(ev.link);
-      if (!l.up || l.corrupting) continue;
-      topo.apply({Kind::kCorrupt, ev.link, ev.loss_rate});
-      if (cfg.use_linkguardian) {
-        topo.apply({Kind::kEnableLg, ev.link, 0.0,
-                    lg_effective_speed(ev.loss_rate)});
-      }
-      if (topo.can_disable(ev.link, cfg.capacity_constraint)) {
-        ++res.disabled_immediately;
-        disable(ev.link, ev.time_hours);
-      } else {
-        ++res.kept_active;
-        const Active a{ev.loss_rate, ev.link};
-        active.insert(std::upper_bound(active.begin(), active.end(), a,
-                                       [](const Active& x, const Active& y) {
-                                         if (x.loss_rate != y.loss_rate)
-                                           return x.loss_rate > y.loss_rate;
-                                         return x.link < y.link;
-                                       }),
-                      a);
-      }
-    } else if (t_next == t_repair) {
-      const Repair ev = repairs.top();
-      repairs.pop();
-      topo.apply({Kind::kRepair, ev.link});
-      std::size_t kept = 0;
-      for (const Active& a : active) {
-        if (topo.can_disable(a.link, cfg.capacity_constraint)) {
-          ++res.disabled_by_optimizer;
-          disable(a.link, now);
-        } else {
-          active[kept++] = a;
-        }
-      }
-      active.resize(kept);
-    } else {
-      DeploymentSample s;
-      s.time_hours = now;
-      s.total_penalty = topo.total_penalty(cfg.lg_target_loss);
-      s.least_paths_frac = topo.least_paths_per_tor_frac();
-      s.least_capacity_frac = topo.least_capacity_per_pod_frac();
-      s.corrupting_links = static_cast<std::int32_t>(topo.corrupting_up_links());
-      s.disabled_links = static_cast<std::int32_t>(topo.disabled_links());
-      s.lg_links = static_cast<std::int32_t>(topo.lg_up_links());
-      res.max_lg_per_switch =
-          std::max(res.max_lg_per_switch, topo.max_lg_links_per_switch());
-      res.samples.push_back(s);
-      next_sample += cfg.sample_period_hours;
-    }
-  }
-  return res;
-}
-
-// run_deployment re-optimizes only the repaired link's pod. Across random
-// fabrics, constraints and accelerated failure rates — long backlogs, many
-// pods contending at once — it must reproduce the full rescan bit for bit.
+// run_deployment (pod-local optimizer, incremental metrics) against the
+// pre-refactor engine (full backlog rescan, scan-based metrics): both
+// small_cfg arms, then random fabrics, constraints and accelerated failure
+// rates — long backlogs, many pods contending at once. Same events, same RNG
+// streams; the results must agree bit for bit.
 TEST(DeploymentDifferential, PodLocalOptimizerMatchesFullRescanBitwise) {
+  std::vector<DeploymentConfig> cfgs = {small_cfg(false), small_cfg(true)};
   Rng rng(2024);
-  int with_optimizer_disables = 0;
-  constexpr int kConfigs = 60;
-  for (int i = 0; i < kConfigs; ++i) {
+  constexpr int kRandom = 60;
+  for (int i = 0; i < kRandom; ++i) {
     DeploymentConfig cfg;
     const auto pick = [&](std::int32_t lo, std::int32_t hi) {
       return lo + static_cast<std::int32_t>(
@@ -351,19 +208,20 @@ TEST(DeploymentDifferential, PodLocalOptimizerMatchesFullRescanBitwise) {
     cfg.mttf_hours = rng.uniform(150, 1'500);
     cfg.sample_period_hours = rng.uniform(1.0, 12.0);
     cfg.seed = rng.next_u64();
+    cfgs.push_back(cfg);
+  }
+  int with_optimizer_disables = 0;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const DeploymentConfig& cfg = cfgs[i];
     const auto pod_local = run_deployment(cfg);
-    expect_bit_identical(pod_local, full_rescan_deployment(cfg));
-    if (::testing::Test::HasFailure()) {
-      ADD_FAILURE() << "diverged on config " << i << " (pods "
-                    << cfg.topo.pods << ", constraint "
-                    << cfg.capacity_constraint << ", lg "
-                    << cfg.use_linkguardian << ")";
-      return;
-    }
+    ASSERT_TRUE(bit_identical(pod_local, reference_deployment(cfg)))
+        << "diverged on config " << i << " (pods " << cfg.topo.pods
+        << ", constraint " << cfg.capacity_constraint << ", lg "
+        << cfg.use_linkguardian << ")";
     if (pod_local.disabled_by_optimizer > 0) ++with_optimizer_disables;
   }
   // The sweep must actually exercise the optimizer, not just the fast path.
-  EXPECT_GE(with_optimizer_disables, kConfigs / 2);
+  EXPECT_GE(with_optimizer_disables, kRandom / 2);
 }
 
 // FNV-1a over the per-field bytes of every sample (field-wise to avoid
@@ -392,8 +250,9 @@ std::uint64_t samples_digest(const DeploymentResult& r) {
 // Golden pin of run_deployment at the 16-pod reference scale (the scale
 // BENCH_deploy.json's speedup claim is measured at). Any change to the event
 // stream, RNG draw order, optimizer order, or metric arithmetic shows up
-// here. The values were captured from this implementation; both metric
-// engines must reproduce them (the digest covers every sample bit).
+// here. The values were captured from this implementation; run_deployment
+// and the reference engine must both reproduce them (the digest covers
+// every sample bit).
 TEST(DeploymentGolden, SixteenPodReferenceRun) {
   DeploymentConfig cfg;
   cfg.topo = {.pods = 16, .tors_per_pod = 48, .fabrics_per_pod = 4,
@@ -403,17 +262,51 @@ TEST(DeploymentGolden, SixteenPodReferenceRun) {
   cfg.use_linkguardian = true;
   cfg.sample_period_hours = 6.0;
   cfg.seed = 12345;
-  for (const bool naive : {false, true}) {
-    cfg.naive_metrics = naive;
-    const auto res = run_deployment(cfg);
-    EXPECT_EQ(res.corruption_events, 6611) << "naive=" << naive;
-    EXPECT_EQ(res.disabled_immediately, 2627) << "naive=" << naive;
-    EXPECT_EQ(res.kept_active, 3387) << "naive=" << naive;
-    EXPECT_EQ(res.disabled_by_optimizer, 2809) << "naive=" << naive;
-    EXPECT_EQ(res.max_lg_per_switch, 26) << "naive=" << naive;
-    ASSERT_EQ(res.samples.size(), 359u) << "naive=" << naive;
-    EXPECT_EQ(samples_digest(res), 4305412010910275142ULL) << "naive=" << naive;
+  for (const bool reference : {false, true}) {
+    const auto res =
+        reference ? reference_deployment(cfg) : run_deployment(cfg);
+    EXPECT_EQ(res.corruption_events, 6611) << "reference=" << reference;
+    EXPECT_EQ(res.disabled_immediately, 2627) << "reference=" << reference;
+    EXPECT_EQ(res.kept_active, 3387) << "reference=" << reference;
+    EXPECT_EQ(res.disabled_by_optimizer, 2809) << "reference=" << reference;
+    EXPECT_EQ(res.max_lg_per_switch, 26) << "reference=" << reference;
+    ASSERT_EQ(res.samples.size(), 359u) << "reference=" << reference;
+    EXPECT_EQ(samples_digest(res), 4305412010910275142ULL)
+        << "reference=" << reference;
   }
+}
+
+// Each config run_deployment cannot run is rejected before any work.
+TEST(Deployment, RejectsInvalidConfigs) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(DeploymentConfig&)>> bad = {
+      {"zero sample period", [](DeploymentConfig& c) { c.sample_period_hours = 0; }},
+      {"negative sample period", [](DeploymentConfig& c) { c.sample_period_hours = -1; }},
+      {"NaN sample period", [](DeploymentConfig& c) { c.sample_period_hours = kNaN; }},
+      {"zero MTTF", [](DeploymentConfig& c) { c.mttf_hours = 0; }},
+      {"negative MTTF", [](DeploymentConfig& c) { c.mttf_hours = -5; }},
+      {"NaN MTTF", [](DeploymentConfig& c) { c.mttf_hours = kNaN; }},
+      {"negative duration", [](DeploymentConfig& c) { c.duration_hours = -1; }},
+      {"NaN duration", [](DeploymentConfig& c) { c.duration_hours = kNaN; }},
+      {"constraint below 0", [](DeploymentConfig& c) { c.capacity_constraint = -0.1; }},
+      {"constraint above 1", [](DeploymentConfig& c) { c.capacity_constraint = 1.5; }},
+      {"fast fraction below 0", [](DeploymentConfig& c) { c.repair_fast_fraction = -0.2; }},
+      {"fast fraction above 1", [](DeploymentConfig& c) { c.repair_fast_fraction = 1.01; }},
+      {"negative fast repair", [](DeploymentConfig& c) { c.repair_fast_hours = -1; }},
+      {"negative slow repair", [](DeploymentConfig& c) { c.repair_slow_hours = -1; }},
+  };
+  for (const auto& [name, mutate] : bad) {
+    DeploymentConfig cfg = small_cfg(false);
+    mutate(cfg);
+    EXPECT_THROW(run_deployment(cfg), std::invalid_argument) << name;
+  }
+  // The closed-interval boundaries and a zero-length horizon are accepted.
+  DeploymentConfig edge = small_cfg(false);
+  edge.duration_hours = 0;
+  edge.capacity_constraint = 1.0;
+  edge.repair_fast_fraction = 0.0;
+  edge.repair_fast_hours = 0;
+  EXPECT_NO_THROW(run_deployment(edge));
 }
 
 }  // namespace
