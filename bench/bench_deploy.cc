@@ -7,9 +7,10 @@
 // Special modes (following the bench_micro pattern):
 //   --bench_json=<path>  time reference_deployment against run_deployment
 //                        at reference scale (asserting bit-identical
-//                        results) and the paper-scale run, write them as one
-//                        JSON object — the shape of a trajectory point in
-//                        the committed BENCH_deploy.json.
+//                        results) and the paper-scale run, write them with
+//                        a `build` stamp (nproc, compiler, build type) as
+//                        one JSON object — the shape of a trajectory point
+//                        in the committed BENCH_deploy.json.
 //   --smoke=<baseline>   reduced mode for ctest: on a small config the two
 //                        engines must stay bit-identical and the incremental
 //                        engine must keep a >= 3x wall-clock margin (the
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string_view>
+#include <thread>
 
 #include "bench_common.h"
 #include "corropt/corropt.h"
@@ -101,6 +103,11 @@ int write_bench_json(const char* path) {
     return 1;
   }
   std::fprintf(f, "{\n");
+  std::fprintf(f,
+               "  \"build\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), LGSIM_COMPILER,
+               LGSIM_BUILD_TYPE);
   std::fprintf(f,
                "  \"reference_scale\": {\"pods\": 16, \"weeks\": 52, "
                "\"naive_sec\": %.3f, \"incremental_sec\": %.3f, "

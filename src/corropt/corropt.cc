@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -45,7 +47,7 @@ namespace {
 /// Decorrelates per-link RNG streams from one base seed (SplitMix64
 /// finalizer over base + link). Each link's failure/loss draws are a fixed
 /// function of (base, link) — independent of how many events other links
-/// produced, which is what lets the stream draw them lazily in pop order.
+/// produced, so the trace does not depend on the order links are drawn in.
 std::uint64_t per_link_seed(std::uint64_t base, std::int64_t link) {
   std::uint64_t z =
       base + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(link) + 1);
@@ -57,27 +59,33 @@ std::uint64_t per_link_seed(std::uint64_t base, std::int64_t link) {
 }  // namespace
 
 CorruptionStream::CorruptionStream(std::int64_t n_links, double duration_hours,
-                                   double mttf_hours, Rng& rng)
-    : duration_hours_(duration_hours), mttf_hours_(mttf_hours) {
+                                   double mttf_hours, Rng& rng) {
+  // Negated comparisons, so NaN is rejected too.
+  if (!(mttf_hours > 0))
+    throw std::invalid_argument("CorruptionStream: mttf_hours must be > 0");
+  if (!(duration_hours >= 0 && std::isfinite(duration_hours)))
+    throw std::invalid_argument(
+        "CorruptionStream: duration_hours must be finite and >= 0");
   const std::uint64_t base = rng.next_u64();
   for (std::int64_t l = 0; l < n_links; ++l) {
     // Weibull with shape 1 (Appendix D, Eq. 3): memoryless inter-failure
     // times with mean MTTF. A link can fail repeatedly within the horizon;
     // subsequent failures only matter once it has been repaired, which the
     // deployment simulation enforces.
-    Entry e{0.0, l, Rng(per_link_seed(base, l))};
-    e.time_hours = e.rng.weibull(1.0, mttf_hours_);
-    if (e.time_hours < duration_hours_) heap_.push(std::move(e));
+    Rng link_rng(per_link_seed(base, l));
+    for (double t = link_rng.weibull(1.0, mttf_hours); t < duration_hours;
+         t += link_rng.weibull(1.0, mttf_hours)) {
+      events_.push_back({t, l, sample_loss_rate(link_rng)});
+    }
   }
-}
-
-CorruptionEvent CorruptionStream::pop() {
-  Entry e = heap_.top();
-  heap_.pop();
-  const CorruptionEvent ev{e.time_hours, e.link, sample_loss_rate(e.rng)};
-  e.time_hours += e.rng.weibull(1.0, mttf_hours_);
-  if (e.time_hours < duration_hours_) heap_.push(std::move(e));
-  return ev;
+  // Drawn link-major, so a stable sort keeps one link's equal-time events
+  // in draw order.
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const CorruptionEvent& a, const CorruptionEvent& b) {
+                     if (a.time_hours != b.time_hours)
+                       return a.time_hours < b.time_hours;
+                     return a.link < b.link;
+                   });
 }
 
 std::vector<CorruptionEvent> generate_trace(std::int64_t n_links,
@@ -161,15 +169,16 @@ class ActiveCorrupting {
 
 /// Rejects configs the main loop cannot run: a period or MTTF that is not
 /// positive never advances time (the sample list grows until memory runs
-/// out, or one link re-fails at the same instant forever). The negated
-/// comparisons also reject NaN.
+/// out, or one link re-fails at the same instant forever), and an infinite
+/// horizon never ends. The negated comparisons also reject NaN.
 void validate(const DeploymentConfig& cfg) {
   const auto fail = [](const char* what) {
     throw std::invalid_argument(std::string("DeploymentConfig: ") + what);
   };
   if (!(cfg.sample_period_hours > 0)) fail("sample_period_hours must be > 0");
   if (!(cfg.mttf_hours > 0)) fail("mttf_hours must be > 0");
-  if (!(cfg.duration_hours >= 0)) fail("duration_hours must be >= 0");
+  if (!(cfg.duration_hours >= 0 && std::isfinite(cfg.duration_hours)))
+    fail("duration_hours must be finite and >= 0");
   if (!(cfg.capacity_constraint >= 0 && cfg.capacity_constraint <= 1))
     fail("capacity_constraint must be in [0, 1]");
   if (!(cfg.repair_fast_fraction >= 0 && cfg.repair_fast_fraction <= 1))

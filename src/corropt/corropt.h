@@ -12,22 +12,21 @@
 // detected, so links that cannot be disabled keep a residual loss of at most
 // the operator target.
 //
-// Scale (DESIGN.md §11): the year-long paper-scale run (~100K links) streams
-// corruption events from a per-link next-failure heap (`CorruptionStream`)
-// instead of materializing and sorting the whole horizon's trace — O(links)
-// state instead of O(events) — and reads every per-sample metric from the
-// FabricTopology incremental capacity engine. The optimizer keeps its
-// backlog of not-yet-disablable links per pod, and a repair re-optimizes
-// only the repaired link's pod: capacity checks are pod-local, so no other
-// pod's backlog can have become disablable, and the result is bit-identical
-// to a full pass over every backlog. The pre-refactor engine (full backlog
-// rescans, scan-based metrics) lives on only as the oracle
+// Scale (DESIGN.md §11): the year-long paper-scale run (~100K links) draws
+// its corruption trace once, link by link, and sorts it once
+// (`CorruptionStream`; ~2.1 MB at paper scale), then reads every per-sample
+// metric from the FabricTopology incremental capacity engine. The optimizer
+// keeps its backlog of not-yet-disablable links per pod, and a repair
+// re-optimizes only the repaired link's pod: capacity checks are pod-local,
+// so no other pod's backlog can have become disablable, and the result is
+// bit-identical to a full pass over every backlog. The pre-refactor engine
+// (full backlog rescans, scan-based metrics) lives on only as the oracle
 // `reference_deployment` (corropt/reference.h, library `lgsim_reference`);
 // the differential tests and `bench_deploy` hold the two bit-identical.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "fabric/topology.h"
@@ -56,42 +55,35 @@ struct CorruptionEvent {
   double loss_rate;
 };
 
-/// Streams the corruption trace of Appendix D in time order without ever
-/// materializing it: a min-heap over per-link next-failure entries, each
-/// carrying its own RNG stream (seeded from `rng` and the link id). Popping
-/// an event draws that link's loss rate and next failure lazily, so memory
-/// stays O(links) regardless of the horizon. Ties on time break by link id,
-/// making the stream fully deterministic.
+/// The corruption trace of Appendix D, consumed in time order. The
+/// constructor draws every link's events up front from its own RNG stream
+/// (seeded from `rng` and the link id): first failure time, then loss rate,
+/// next gap, loss rate, and so on until the horizon. It then sorts all
+/// events once by (time, link); ties on time break by link id, so the
+/// stream is fully deterministic. pop() walks a cursor. Memory is O(events):
+/// a paper-scale year is ~87.6K events x 24 B, about 2.1 MB.
 class CorruptionStream {
  public:
+  /// Throws std::invalid_argument unless mttf_hours > 0 and duration_hours
+  /// is finite and >= 0 (otherwise a link's failures never reach the
+  /// horizon and generation would not end).
   CorruptionStream(std::int64_t n_links, double duration_hours,
                    double mttf_hours, Rng& rng);
 
-  bool done() const { return heap_.empty(); }
+  bool done() const { return next_ == events_.size(); }
   /// Time of the next event; only valid when !done().
-  double next_time_hours() const { return heap_.top().time_hours; }
-  CorruptionEvent pop();
+  double next_time_hours() const { return events_[next_].time_hours; }
+  /// The next event; only valid when !done().
+  CorruptionEvent pop() { return events_[next_++]; }
 
  private:
-  struct Entry {
-    double time_hours;
-    std::int64_t link;
-    Rng rng;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time_hours != b.time_hours) return a.time_hours > b.time_hours;
-      return a.link > b.link;
-    }
-  };
-
-  double duration_hours_;
-  double mttf_hours_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<CorruptionEvent> events_;  // (time, link)-sorted
+  std::size_t next_ = 0;
 };
 
 /// Generates the corruption trace of Appendix D for a topology of n links by
 /// draining a CorruptionStream: identical events, (time, link)-sorted.
+/// Throws std::invalid_argument where the CorruptionStream constructor does.
 std::vector<CorruptionEvent> generate_trace(std::int64_t n_links,
                                             double duration_hours,
                                             double mttf_hours, Rng& rng);
@@ -133,9 +125,9 @@ struct DeploymentResult {
 };
 
 /// Throws std::invalid_argument on a config it cannot run: a sample period
-/// or MTTF that is not positive, a negative duration or repair time, a
-/// capacity constraint or fast-repair fraction outside [0, 1], or NaN in
-/// any of them.
+/// or MTTF that is not positive, a negative or infinite duration, a
+/// negative repair time, a capacity constraint or fast-repair fraction
+/// outside [0, 1], or NaN in any of them.
 DeploymentResult run_deployment(const DeploymentConfig& cfg);
 
 /// Effective link speed of a LinkGuardian-protected link as a function of

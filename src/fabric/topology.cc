@@ -65,8 +65,15 @@ FabricTopology::FabricTopology(const TopologyConfig& cfg) : cfg_(cfg) {
   paths_hist_.assign(static_cast<std::size_t>(max_paths_per_tor()) + 1, 0);
   paths_hist_.back() = static_cast<std::int64_t>(n_pt);
   min_paths_hint_ = max_paths_per_tor();
+  layer_up_.resize(static_cast<std::size_t>(cfg.pods) * 2);
+  for (std::size_t i = 0; i < layer_up_.size(); i += 2) {
+    layer_up_[i] = cfg.tors_per_pod * cfg.fabrics_per_pod;
+    layer_up_[i + 1] = cfg.fabrics_per_pod * cfg.spines_per_plane;
+  }
+  layer_slowed_.assign(layer_up_.size(), 0);
+  layer_sum_.assign(layer_up_.begin(), layer_up_.end());
+  layer_dirty_.assign(layer_up_.size(), 0);
   pod_cap_.assign(static_cast<std::size_t>(cfg.pods), 1.0);
-  pod_dirty_.assign(static_cast<std::size_t>(cfg.pods), 0);
   lg_per_tor_.assign(n_pt, 0);
   lg_per_fabric_.assign(n_pf, 0);
   lg_hist_.assign(static_cast<std::size_t>(
@@ -146,12 +153,6 @@ void FabricTopology::bump_lg_switch_count(std::int32_t* slot,
     --lg_max_;
 }
 
-void FabricTopology::mark_pod_dirty(std::int32_t pod) const {
-  if (pod_dirty_[static_cast<std::size_t>(pod)]) return;
-  pod_dirty_[static_cast<std::size_t>(pod)] = 1;
-  dirty_pods_.push_back(pod);
-}
-
 void FabricTopology::reconcile(std::int64_t id, const Link& before,
                                const Link& after) {
   const std::int32_t p = after.pod;
@@ -212,8 +213,19 @@ void FabricTopology::reconcile(std::int64_t id, const Link& before,
     bump_lg_switch_count(slot, delta);
   }
 
-  if (before.up != after.up || before.effective_speed != after.effective_speed)
-    mark_pod_dirty(p);
+  if (before.up != after.up ||
+      before.effective_speed != after.effective_speed) {
+    const std::size_t layer = static_cast<std::size_t>(p) * 2 +
+                              static_cast<std::size_t>(after.layer);
+    layer_up_[layer] += static_cast<std::int32_t>(after.up) - before.up;
+    layer_slowed_[layer] +=
+        static_cast<std::int32_t>(after.up && after.effective_speed != 1.0) -
+        (before.up && before.effective_speed != 1.0);
+    if (!layer_dirty_[layer]) {
+      layer_dirty_[layer] = 1;
+      dirty_layers_.push_back(layer);
+    }
+  }
 }
 
 double FabricTopology::least_paths_per_tor_frac() const {
@@ -247,34 +259,46 @@ bool FabricTopology::can_disable(std::int64_t link_id, double constraint) const 
   return true;
 }
 
-double FabricTopology::scan_pod_capacity_frac(std::int32_t p) const {
-  double tf = 0.0, fs = 0.0;
-  for (std::int32_t t = 0; t < cfg_.tors_per_pod; ++t) {
+double FabricTopology::layer_speed_sum(std::size_t layer) const {
+  // Up links all at 1.0: the ordered scan would add k copies of 1.0 to +0.0,
+  // which is exactly k.
+  if (layer_slowed_[layer] == 0) return layer_up_[layer];
+  const auto p = static_cast<std::int32_t>(layer / 2);
+  double sum = 0.0;
+  if (static_cast<LinkLayer>(layer % 2) == LinkLayer::kTorFabric) {
+    for (std::int32_t t = 0; t < cfg_.tors_per_pod; ++t) {
+      for (std::int32_t f = 0; f < cfg_.fabrics_per_pod; ++f) {
+        const Link& l = links_[tor_fabric_link(p, t, f)];
+        if (l.up) sum += l.effective_speed;
+      }
+    }
+  } else {
     for (std::int32_t f = 0; f < cfg_.fabrics_per_pod; ++f) {
-      const Link& l = links_[tor_fabric_link(p, t, f)];
-      if (l.up) tf += l.effective_speed;
+      for (std::int32_t s = 0; s < cfg_.spines_per_plane; ++s) {
+        const Link& l = links_[fabric_spine_link(p, f, s)];
+        if (l.up) sum += l.effective_speed;
+      }
     }
   }
-  for (std::int32_t f = 0; f < cfg_.fabrics_per_pod; ++f) {
-    for (std::int32_t s = 0; s < cfg_.spines_per_plane; ++s) {
-      const Link& l = links_[fabric_spine_link(p, f, s)];
-      if (l.up) fs += l.effective_speed;
-    }
+  return sum;
+}
+
+double FabricTopology::least_capacity_per_pod_frac() const {
+  for (const std::size_t layer : dirty_layers_) {
+    layer_sum_[layer] = layer_speed_sum(layer);
+    layer_dirty_[layer] = 0;
   }
   const double nominal_tf =
       static_cast<double>(cfg_.tors_per_pod) * cfg_.fabrics_per_pod;
   const double nominal_fs =
       static_cast<double>(cfg_.fabrics_per_pod) * cfg_.spines_per_plane;
-  // ToR->spine capacity is bounded by the thinner layer.
-  return std::min(tf / nominal_tf, fs / nominal_fs);
-}
-
-double FabricTopology::least_capacity_per_pod_frac() const {
-  for (const std::int32_t p : dirty_pods_) {
-    pod_cap_[static_cast<std::size_t>(p)] = scan_pod_capacity_frac(p);
-    pod_dirty_[static_cast<std::size_t>(p)] = 0;
+  for (const std::size_t layer : dirty_layers_) {
+    const std::size_t p = layer / 2;
+    // ToR->spine capacity is bounded by the thinner layer.
+    pod_cap_[p] = std::min(layer_sum_[2 * p] / nominal_tf,
+                           layer_sum_[2 * p + 1] / nominal_fs);
   }
-  dirty_pods_.clear();
+  dirty_layers_.clear();
   double least = 1.0;
   for (const double cap : pod_cap_) least = std::min(least, cap);
   return least;

@@ -26,9 +26,12 @@
 //    0..max_paths_per_tor(), tiny) answering `least_paths_per_tor_frac()`
 //    without a scan;
 //  - lazily recomputed per-pod capacity fractions: a mutation dirties its
-//    pod, `least_capacity_per_pod_frac()` rescans only dirty pods (bit-exact
-//    against the full naive scan because the per-pod summation order is
-//    unchanged);
+//    (pod, layer), and `least_capacity_per_pod_frac()` re-sums only dirty
+//    layers. Per layer the engine counts up links and up links with
+//    effective_speed != 1.0; a layer with no slowed link takes its up count
+//    as its sum (adding k copies of 1.0 to +0.0 gives exactly k below 2^53),
+//    and only a layer with a slowed link is scanned, in the naive scan's
+//    summation order — bit-exact against the full naive scan either way;
 //  - the ordered set of corrupting-up links with a cached `link_penalty()`
 //    term per link, so `total_penalty()` sums O(active) contributions in
 //    ascending link order — the same FP order the naive full scan uses,
@@ -174,8 +177,10 @@ class FabricTopology {
   bool can_disable(std::int64_t link_id, double constraint) const;
 
   /// Usable ToR->spine capacity fraction of the worst pod, counting each up
-  /// link at its effective speed ("least capacity per pod"). O(dirty pods *
-  /// pod size + pods) — only pods touched since the last call are rescanned.
+  /// link at its effective speed ("least capacity per pod"). O(dirty layers
+  /// + slowed dirty layers * layer size + pods): only (pod, layer)s touched
+  /// since the last call are re-summed, and one with no slowed up link in
+  /// O(1).
   double least_capacity_per_pod_frac() const;
 
   /// Sum of loss rates over corrupting, still-enabled links, where
@@ -204,10 +209,10 @@ class FabricTopology {
   void reconcile(std::int64_t id, const Link& before, const Link& after);
   void shift_tor_paths(std::int32_t pod, std::int32_t tor, std::int64_t delta);
   void bump_lg_switch_count(std::int32_t* slot, std::int32_t delta);
-  void mark_pod_dirty(std::int32_t pod) const;
-  // The per-pod capacity scan shared (verbatim summation order) with
-  // NaiveFabricMetrics::least_capacity_per_pod_frac.
-  double scan_pod_capacity_frac(std::int32_t pod) const;
+  // Sum of the effective speeds of one (pod, layer)'s up links: its up
+  // count when none is slowed, else the ordered scan (a verbatim copy of
+  // NaiveFabricMetrics::least_capacity_per_pod_frac's loop, same order).
+  double layer_speed_sum(std::size_t layer) const;
 
   TopologyConfig cfg_;
   std::vector<Link> links_;
@@ -223,10 +228,16 @@ class FabricTopology {
   std::vector<std::int64_t> paths_hist_;  // [max_paths_per_tor() + 1]
   mutable std::int64_t min_paths_hint_ = 0;
 
-  // Lazy per-pod capacity cache.
-  mutable std::vector<double> pod_cap_;        // [pods]
-  mutable std::vector<std::uint8_t> pod_dirty_;  // [pods]
-  mutable std::vector<std::int32_t> dirty_pods_;
+  // Lazy per-pod capacity, indexed per layer as pod * 2 + LinkLayer: counts
+  // of up links and of up links whose effective_speed != 1.0, maintained by
+  // reconcile(); the cached layer_speed_sum(), recomputed only for layers a
+  // transition dirtied; and each pod's capacity fraction.
+  std::vector<std::int32_t> layer_up_;           // [pods * 2]
+  std::vector<std::int32_t> layer_slowed_;       // [pods * 2]
+  mutable std::vector<double> layer_sum_;        // [pods * 2]
+  mutable std::vector<std::uint8_t> layer_dirty_;  // [pods * 2]
+  mutable std::vector<std::size_t> dirty_layers_;
+  mutable std::vector<double> pod_cap_;          // [pods]
 
   // Corrupting && up links, ascending id (the penalty summation order).
   std::vector<std::int64_t> corrupting_up_;

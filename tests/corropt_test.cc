@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -107,6 +109,123 @@ TEST(TraceGen, StreamMatchesMaterializedTrace) {
     EXPECT_DOUBLE_EQ(got.loss_rate, expect.loss_rate);
   }
   EXPECT_TRUE(stream.done());
+}
+
+// The lazy per-link next-failure heap CorruptionStream used before it drew
+// the trace eagerly, kept as an oracle: each link's entry carries its own
+// RNG stream, and popping an entry draws that link's loss rate and next gap.
+// per_link_seed is a copy of the library's seed mix.
+class LazyCorruptionStream {
+ public:
+  LazyCorruptionStream(std::int64_t n_links, double duration_hours,
+                       double mttf_hours, Rng& rng)
+      : duration_hours_(duration_hours), mttf_hours_(mttf_hours) {
+    const std::uint64_t base = rng.next_u64();
+    for (std::int64_t l = 0; l < n_links; ++l) {
+      Entry e{0.0, l, Rng(per_link_seed(base, l))};
+      e.time_hours = e.rng.weibull(1.0, mttf_hours_);
+      if (e.time_hours < duration_hours_) heap_.push(std::move(e));
+    }
+  }
+  bool done() const { return heap_.empty(); }
+  CorruptionEvent pop() {
+    Entry e = heap_.top();
+    heap_.pop();
+    const CorruptionEvent ev{e.time_hours, e.link, sample_loss_rate(e.rng)};
+    e.time_hours += e.rng.weibull(1.0, mttf_hours_);
+    if (e.time_hours < duration_hours_) heap_.push(std::move(e));
+    return ev;
+  }
+
+ private:
+  struct Entry {
+    double time_hours;
+    std::int64_t link;
+    Rng rng;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time_hours != b.time_hours) return a.time_hours > b.time_hours;
+      return a.link > b.link;
+    }
+  };
+  static std::uint64_t per_link_seed(std::uint64_t base, std::int64_t link) {
+    std::uint64_t z =
+        base + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(link) + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  double duration_hours_;
+  double mttf_hours_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+};
+
+// The materialized, sorted-once stream against the lazy heap, event for
+// event and bit for bit, on random link counts, horizons and MTTFs — down to
+// MTTFs of 1/100 of the horizon, so links fail and re-fail many times.
+TEST(TraceGen, SortedStreamMatchesLazyHeapOracle) {
+  Rng cfg_rng(808);
+  std::int64_t total_events = 0, max_per_link = 0;
+  for (int i = 0; i < 40; ++i) {
+    const auto links = 1 + static_cast<std::int64_t>(cfg_rng.uniform_int(120));
+    const double horizon = i == 0 ? 0.0 : cfg_rng.uniform(1.0, 5'000.0);
+    const double mttf =
+        std::max(1.0, horizon) * std::pow(10.0, cfg_rng.uniform(-2.0, 1.0));
+    const std::uint64_t seed = cfg_rng.next_u64();
+    Rng rng_fast(seed), rng_lazy(seed);
+    CorruptionStream fast(links, horizon, mttf, rng_fast);
+    LazyCorruptionStream lazy(links, horizon, mttf, rng_lazy);
+    // Both consume exactly one draw of the caller's generator.
+    ASSERT_EQ(rng_fast.next_u64(), rng_lazy.next_u64()) << "config " << i;
+    std::vector<std::int64_t> per_link(static_cast<std::size_t>(links), 0);
+    for (std::int64_t n = 0; !lazy.done(); ++n) {
+      const CorruptionEvent want = lazy.pop();
+      ASSERT_FALSE(fast.done()) << "config " << i << " ended at event " << n;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fast.next_time_hours()),
+                std::bit_cast<std::uint64_t>(want.time_hours));
+      const CorruptionEvent got = fast.pop();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.time_hours),
+                std::bit_cast<std::uint64_t>(want.time_hours))
+          << "config " << i << " event " << n;
+      ASSERT_EQ(got.link, want.link) << "config " << i << " event " << n;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.loss_rate),
+                std::bit_cast<std::uint64_t>(want.loss_rate))
+          << "config " << i << " event " << n;
+      max_per_link = std::max(max_per_link,
+                              ++per_link[static_cast<std::size_t>(got.link)]);
+      ++total_events;
+    }
+    EXPECT_TRUE(fast.done()) << "config " << i;
+  }
+  // The sweep must reach long per-link renewal sequences.
+  EXPECT_GT(total_events, 10'000);
+  EXPECT_GE(max_per_link, 50);
+}
+
+// A stream whose failures never reach the horizon is rejected up front,
+// before any event is drawn (an MTTF of 0 made every gap 0).
+TEST(TraceGen, RejectsStreamsThatNeverEnd) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      // {duration_hours, mttf_hours}
+      {100, 0},    {100, -1},    {100, -kInf}, {100, kNaN},
+      {-1, 100},   {-kInf, 100}, {kInf, 100},  {kNaN, 100},
+  };
+  for (const auto& [duration, mttf] : bad) {
+    Rng rng(5);
+    EXPECT_THROW(CorruptionStream(10, duration, mttf, rng),
+                 std::invalid_argument)
+        << "duration " << duration << ", mttf " << mttf;
+    EXPECT_THROW(generate_trace(10, duration, mttf, rng), std::invalid_argument)
+        << "duration " << duration << ", mttf " << mttf;
+  }
+  // An empty horizon and an infinite MTTF are finite streams with no events.
+  Rng rng(5);
+  EXPECT_TRUE(generate_trace(10, 0, 100, rng).empty());
+  EXPECT_TRUE(generate_trace(10, 100, kInf, rng).empty());
 }
 
 TEST(LgEffectiveSpeed, MatchesFig8Shape) {
@@ -276,6 +395,43 @@ TEST(DeploymentGolden, SixteenPodReferenceRun) {
   }
 }
 
+// Golden pin of run_deployment at the paper's scale (260 pods, ~100K links,
+// 52 weeks, hourly samples; the deploy_year configuration), both arms. At
+// this scale the per-pod capacity count path and the presorted corruption
+// trace carry every sample, which the 16-pod pin above exercises only
+// thinly. The values were captured before either was introduced.
+TEST(DeploymentGolden, PaperScaleYear) {
+  struct Expected {
+    bool lg;
+    std::int64_t events, immediately, kept, by_optimizer;
+    std::int32_t max_lg;
+    std::uint64_t digest;
+  };
+  const Expected arms[] = {
+      {false, 87604, 45206, 41607, 41334, 0, 10493108873560509594ULL},
+      {true, 87604, 45206, 41607, 41334, 6, 9190638895146383602ULL},
+  };
+  for (const Expected& want : arms) {
+    DeploymentConfig cfg;
+    cfg.topo = {.pods = 260, .tors_per_pod = 48, .fabrics_per_pod = 4,
+                .spines_per_plane = 48};
+    cfg.duration_hours = 24.0 * 7.0 * 52.0;
+    cfg.mttf_hours = 10'000;
+    cfg.capacity_constraint = 0.75;
+    cfg.use_linkguardian = want.lg;
+    cfg.sample_period_hours = 1.0;
+    cfg.seed = 7;
+    const auto res = run_deployment(cfg);
+    EXPECT_EQ(res.corruption_events, want.events) << "lg=" << want.lg;
+    EXPECT_EQ(res.disabled_immediately, want.immediately) << "lg=" << want.lg;
+    EXPECT_EQ(res.kept_active, want.kept) << "lg=" << want.lg;
+    EXPECT_EQ(res.disabled_by_optimizer, want.by_optimizer) << "lg=" << want.lg;
+    EXPECT_EQ(res.max_lg_per_switch, want.max_lg) << "lg=" << want.lg;
+    ASSERT_EQ(res.samples.size(), 8735u) << "lg=" << want.lg;
+    EXPECT_EQ(samples_digest(res), want.digest) << "lg=" << want.lg;
+  }
+}
+
 // Each config run_deployment cannot run is rejected before any work.
 TEST(Deployment, RejectsInvalidConfigs) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -288,6 +444,9 @@ TEST(Deployment, RejectsInvalidConfigs) {
       {"NaN MTTF", [](DeploymentConfig& c) { c.mttf_hours = kNaN; }},
       {"negative duration", [](DeploymentConfig& c) { c.duration_hours = -1; }},
       {"NaN duration", [](DeploymentConfig& c) { c.duration_hours = kNaN; }},
+      {"infinite duration", [](DeploymentConfig& c) {
+         c.duration_hours = std::numeric_limits<double>::infinity();
+       }},
       {"constraint below 0", [](DeploymentConfig& c) { c.capacity_constraint = -0.1; }},
       {"constraint above 1", [](DeploymentConfig& c) { c.capacity_constraint = 1.5; }},
       {"fast fraction below 0", [](DeploymentConfig& c) { c.repair_fast_fraction = -0.2; }},

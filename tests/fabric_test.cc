@@ -322,6 +322,86 @@ TEST(FabricDifferential, CachedPenaltyTermsMatchNaive) {
   EXPECT_GT(target_switches, 100);
 }
 
+// The per-pod capacity count path: a layer whose up links all run at 1.0
+// reads its up count instead of being scanned. A one-pod fabric makes that
+// pod's capacity the metric itself, and driving one layer at a time keeps
+// the other at 1.0, so it never masks the driven one. Each layer goes from
+// all-unit to slowed and back through every transition that moves a link's
+// speed or up state, then through random ones.
+TEST(FabricDifferential, CapacityCountPathMatchesNaiveThroughSpeedChanges) {
+  FabricTopology t({.pods = 1, .tors_per_pod = 5, .fabrics_per_pod = 3,
+                    .spines_per_plane = 4});
+  int step = 0;
+  const auto check = [&](const char* what) {
+    ASSERT_TRUE(bits_equal(t.least_capacity_per_pod_frac(),
+                           NaiveFabricMetrics::least_capacity_per_pod_frac(t)))
+        << what << " (step " << step << ")";
+    ++step;
+  };
+  Rng rng(31337);
+  for (const LinkLayer layer :
+       {LinkLayer::kTorFabric, LinkLayer::kFabricSpine}) {
+    // Layer link i: ToR i / 3 or spine i / 3, fabric i % 3.
+    const auto link = [&](std::int32_t i) {
+      return layer == LinkLayer::kTorFabric
+                 ? t.tor_fabric_link(0, i / 3, i % 3)
+                 : t.fabric_spine_link(0, i % 3, i / 3);
+    };
+    const std::int64_t a = link(0), b = link(4), c = link(7);
+    t.apply({Kind::kCorrupt, a, 1e-3});
+    check("corruption alone");
+    t.apply({Kind::kEnableLg, a, 0.0, 1.0});
+    check("LG at exactly 1.0");
+    t.apply({Kind::kEnableLg, b, 0.0, 0.92});
+    check("LG below 1.0");
+    t.apply({Kind::kEnableLg, c, 0.0, 0.999});
+    check("a second slowed link");
+    t.apply({Kind::kDisableLg, b});
+    check("LG off");
+    t.apply({Kind::kDisable, c});
+    check("disable of a slowed link");
+    t.apply({Kind::kEnableLg, c, 0.0, 0.85});
+    check("LG on a down link");
+    t.apply({Kind::kRepair, c});
+    check("repair of a down link");
+    t.apply({Kind::kEnableLg, b, 0.0, 0.95});
+    check("LG below 1.0 again");
+    t.apply({Kind::kRepair, b});
+    check("repair of an up slowed link");
+    t.apply({Kind::kDisable, a});
+    check("disable of an LG link at 1.0");
+    t.apply({Kind::kRepair, a});
+    check("repair back to all-unit");
+    ASSERT_TRUE(bits_equal(t.least_capacity_per_pod_frac(), 1.0));
+
+    // Random transitions on this layer, with exact-1.0 speeds half the time.
+    const std::int32_t n = layer == LinkLayer::kTorFabric ? 5 * 3 : 3 * 4;
+    for (int i = 0; i < 2'000; ++i) {
+      const std::int64_t id =
+          link(static_cast<std::int32_t>(rng.uniform_int(n)));
+      switch (rng.uniform_int(4)) {
+        case 0:
+          t.apply({Kind::kEnableLg, id, 0.0,
+                   rng.bernoulli(0.5) ? 1.0 : 0.85 + 0.15 * rng.uniform()});
+          break;
+        case 1:
+          t.apply({Kind::kDisableLg, id});
+          break;
+        case 2:
+          t.apply({Kind::kDisable, id});
+          break;
+        default:
+          t.apply({Kind::kRepair, id});
+          break;
+      }
+      check("random transition");
+      if (HasFatalFailure()) return;
+    }
+    for (std::int32_t i = 0; i < n; ++i) t.apply({Kind::kRepair, link(i)});
+    check("all repaired");
+  }
+}
+
 TEST(FabricDifferential, AsymmetricSmallTopology) {
   // Odd dimensions shake out any row/column indexing confusion.
   run_differential({.pods = 3, .tors_per_pod = 7, .fabrics_per_pod = 5,
