@@ -83,13 +83,11 @@ double run_fault_goodput(const FaultCell& cell) {
   injector.add_link(fault::kLinkTarget, handle);
   injector.arm();  // bus/monitor/probe targets stay unbound: dataplane cell
 
-  transport::TcpConfig tcfg;
-  tcfg.cc = transport::TcpCc::kCubic;
   transport::TcpSender snd(
-      sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_a(std::move(p)); },
-      [](SimTime) {});
+      sim, {transport::TcpCc::kCubic}, 1,
+      [&](net::Packet&& p) { path.send_from_a(std::move(p)); }, [](SimTime) {});
   transport::TcpReceiver rcv(
-      sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
+      1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
   std::int64_t delivered = 0;
   path.set_sink_at_b([&](net::Packet&& p) {
     delivered += p.tcp.payload;

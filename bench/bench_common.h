@@ -225,13 +225,11 @@ inline double run_goodput(const GoodputCell& cell) {
   if (cell.scheme == Scheme::kLg || cell.scheme == Scheme::kLgNb)
     path.link().enable_lg();
 
-  transport::TcpConfig tcfg;
-  tcfg.cc = transport::TcpCc::kCubic;
   transport::TcpSender snd(
-      sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_a(std::move(p)); },
-      [](SimTime) {});
+      sim, {transport::TcpCc::kCubic}, 1,
+      [&](net::Packet&& p) { path.send_from_a(std::move(p)); }, [](SimTime) {});
   transport::TcpReceiver rcv(
-      sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
+      1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
   std::int64_t delivered = 0;
   path.set_sink_at_b([&](net::Packet&& p) {
     delivered += p.tcp.payload;

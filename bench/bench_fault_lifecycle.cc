@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<fault::LifecycleResult> rows =
-      fault::run_lifecycle_grid(grid);
+      harness::run_grid(grid, fault::run_lifecycle);
 
   TablePrinter table({"scenario", "seed", "onset_ms", "detect_ms", "engage_ms",
                       "det_lat_us", "offered", "lost_pre", "lost_post",

@@ -9,37 +9,21 @@ namespace lgsim::fault {
 
 namespace {
 
-const char* kKindNames[] = {
-    "ber_step",     "ber_ramp",         "atten_step",     "atten_ramp",
-    "ge_episode",   "link_down",        "link_up",        "bus_delay",
-    "bus_outage_on", "bus_outage_off",  "poll_stall_on",  "poll_stall_off",
-    "probe_stall_on", "probe_stall_off",
-};
-
 // Trace payloads are integers; scale per value domain so small magnitudes
-// survive: loss rates in parts-per-billion, attenuation in milli-dB,
-// delays already in ns, booleans as-is.
+// survive: loss rates in parts-per-billion, delays already in ns, booleans
+// as-is.
 std::int64_t trace_value(FaultKind kind, double value) {
   switch (kind) {
     case FaultKind::kBerStep:
     case FaultKind::kBerRamp:
     case FaultKind::kGilbertEpisode:
       return static_cast<std::int64_t>(value * 1e9);
-    case FaultKind::kAttenStep:
-    case FaultKind::kAttenRamp:
-      return static_cast<std::int64_t>(value * 1e3);
     default:
       return static_cast<std::int64_t>(value);
   }
 }
 
 }  // namespace
-
-const char* fault_kind_name(FaultKind k) {
-  const auto i = static_cast<std::size_t>(k);
-  if (i < sizeof(kKindNames) / sizeof(kKindNames[0])) return kKindNames[i];
-  return "?";
-}
 
 FaultInjector::FaultInjector(Simulator& sim, FaultScript script)
     : sim_(sim),
@@ -48,11 +32,6 @@ FaultInjector::FaultInjector(Simulator& sim, FaultScript script)
 
 void FaultInjector::add_link(const std::string& name, net::DrivableLoss* loss) {
   links_[name] = loss;
-}
-
-void FaultInjector::add_attenuator(const std::string& name,
-                                   AttenuatorBinding binding) {
-  attens_[name] = std::move(binding);
 }
 
 void FaultInjector::add_bus(const std::string& name, monitor::PubSubBus* bus) {
@@ -78,8 +57,7 @@ void FaultInjector::arm() {
   // into a vector that never reallocates under them.
   std::size_t n_ramps = 0;
   for (const FaultEvent& e : events)
-    if (e.kind == FaultKind::kBerRamp || e.kind == FaultKind::kAttenRamp)
-      ++n_ramps;
+    if (e.kind == FaultKind::kBerRamp) ++n_ramps;
   ramps_.reserve(n_ramps);
   for (std::size_t i = 0; i < events.size(); ++i)
     sim_.schedule_at(events[i].at, [this, i] { apply(i); });
@@ -118,23 +96,6 @@ void FaultInjector::apply_rate(const FaultEvent& e, double rate, bool log_it) {
   }
 }
 
-void FaultInjector::apply_db(const FaultEvent& e, double db, bool log_it) {
-  auto it = attens_.find(e.target);
-  if (it == attens_.end() || it->second.loss == nullptr) {
-    ++stats_.unbound;
-    return;
-  }
-  AttenuatorBinding& a = it->second;
-  a.loss->drive_rate(a.xcvr.frame_loss_rate(db, a.frame_bytes));
-  if (log_it) {
-    record(e, db);
-  } else {
-    ++stats_.ramp_steps;
-    obs::emit(sim_.now(), obs::Cat::kFault, obs::Kind::kInject, trace_actor_,
-              trace_value(e.kind, db), 1, static_cast<std::uint16_t>(e.kind));
-  }
-}
-
 void FaultInjector::ramp_tick(std::size_t ramp_index) {
   RampState& r = ramps_[ramp_index];
   const FaultEvent& e = script_.events()[r.event];
@@ -148,12 +109,7 @@ void FaultInjector::ramp_tick(std::size_t ramp_index) {
   } else {
     v = e.a + (e.b - e.a) * f;
   }
-  const bool endpoint = r.k == 0 || r.k >= r.steps;
-  if (e.kind == FaultKind::kBerRamp) {
-    apply_rate(e, v, endpoint);
-  } else {
-    apply_db(e, v, endpoint);
-  }
+  apply_rate(e, v, /*log_it=*/r.k == 0 || r.k >= r.steps);
   if (r.k >= r.steps) return;
   ++r.k;
   sim_.schedule_in(e.step, [this, ramp_index] { ramp_tick(ramp_index); });
@@ -165,15 +121,10 @@ void FaultInjector::apply(std::size_t index) {
     case FaultKind::kBerStep:
       apply_rate(e, e.a, /*log_it=*/true);
       break;
-    case FaultKind::kBerRamp:
-    case FaultKind::kAttenRamp: {
+    case FaultKind::kBerRamp: {
       if (e.duration <= 0 || e.step <= 0) {
         // Degenerate ramp: a single step straight to the endpoint.
-        if (e.kind == FaultKind::kBerRamp) {
-          apply_rate(e, e.b, true);
-        } else {
-          apply_db(e, e.b, true);
-        }
+        apply_rate(e, e.b, true);
         break;
       }
       const std::int64_t steps = std::max<std::int64_t>(1, e.duration / e.step);
@@ -181,9 +132,6 @@ void FaultInjector::apply(std::size_t index) {
       ramp_tick(ramps_.size() - 1);
       break;
     }
-    case FaultKind::kAttenStep:
-      apply_db(e, e.a, /*log_it=*/true);
-      break;
     case FaultKind::kGilbertEpisode: {
       net::GilbertElliottLoss* ge = find_ge(e.target);
       if (ge == nullptr) {
@@ -264,23 +212,6 @@ void FaultInjector::end_episode(std::size_t index) {
   if (ge == nullptr || it == saved_ge_.end()) return;
   ge->set_params(it->second);
   record(e, ge->driven_rate());
-}
-
-FaultScript& append_attenuation_profile(FaultScript& script,
-                                        const std::string& target,
-                                        const phy::AttenuationProfile& profile,
-                                        SimTime step) {
-  if (profile.empty()) return script;
-  const SimTime start = profile.knots.front().at;
-  const SimTime end = profile.end_time();
-  if (step <= 0) {
-    for (const auto& k : profile.knots) script.atten_step(k.at, target, k.db);
-    return script;
-  }
-  SimTime t = start;
-  for (; t < end; t += step) script.atten_step(t, target, profile.db_at(t));
-  script.atten_step(end, target, profile.db_at(end));
-  return script;
 }
 
 }  // namespace lgsim::fault

@@ -20,20 +20,10 @@
 #include "fault/script.h"
 #include "monitor/corruptd.h"
 #include "net/loss_model.h"
-#include "phy/optical.h"
 #include "sim/simulator.h"
 #include "telemetry/probe.h"
 
 namespace lgsim::fault {
-
-/// Binds a named attenuator to the physics chain of phy/optical.h: applying
-/// `db` re-aims the link's drivable loss process to the transceiver's
-/// frame loss rate at that attenuation (Fig. 1's curve, evaluated live).
-struct AttenuatorBinding {
-  phy::Transceiver xcvr;
-  net::DrivableLoss* loss = nullptr;
-  std::int64_t frame_bytes = 1518;
-};
 
 class FaultInjector {
  public:
@@ -41,7 +31,7 @@ class FaultInjector {
     SimTime at = 0;
     FaultKind kind = FaultKind::kBerStep;
     std::string target;
-    double value = 0.0;  // kind-specific: rate, dB, or ns
+    double value = 0.0;  // kind-specific: rate, ns or on/off
   };
 
   struct Stats {
@@ -54,7 +44,6 @@ class FaultInjector {
 
   /// Target registration. Names are the `target` strings used in the script.
   void add_link(const std::string& name, net::DrivableLoss* loss);
-  void add_attenuator(const std::string& name, AttenuatorBinding binding);
   void add_bus(const std::string& name, monitor::PubSubBus* bus);
   void add_monitor(const std::string& name, monitor::Corruptd* daemon);
   void add_prober(const std::string& name, telemetry::LinkProber* prober);
@@ -77,7 +66,6 @@ class FaultInjector {
   void end_episode(std::size_t index);
   void ramp_tick(std::size_t ramp_index);
   void apply_rate(const FaultEvent& e, double rate, bool log_it);
-  void apply_db(const FaultEvent& e, double db, bool log_it);
   void record(const FaultEvent& e, double value);
 
   net::DrivableLoss* find_loss(const std::string& name);
@@ -88,7 +76,6 @@ class FaultInjector {
   bool armed_ = false;
 
   std::map<std::string, net::DrivableLoss*> links_;
-  std::map<std::string, AttenuatorBinding> attens_;
   std::map<std::string, monitor::PubSubBus*> buses_;
   std::map<std::string, monitor::Corruptd*> monitors_;
   std::map<std::string, telemetry::LinkProber*> probers_;
@@ -102,13 +89,5 @@ class FaultInjector {
   Stats stats_;
   std::uint32_t trace_actor_ = 0;
 };
-
-/// Samples an AttenuationProfile into atten_step events on `target`, one per
-/// `step` interval across the profile's span (knots themselves included) —
-/// the bridge from phy/optical's profile type to the script timeline.
-FaultScript& append_attenuation_profile(FaultScript& script,
-                                        const std::string& target,
-                                        const phy::AttenuationProfile& profile,
-                                        SimTime step);
 
 }  // namespace lgsim::fault

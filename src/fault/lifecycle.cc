@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "fault/injector.h"
-#include "harness/parallel.h"
 #include "lg/link.h"
 #include "monitor/corruptd.h"
 #include "net/loss_model.h"
@@ -17,6 +16,41 @@
 #include "telemetry/probe.h"
 
 namespace lgsim::fault {
+
+namespace {
+
+// Dataplane.
+constexpr BitRate kRate = gbps(25);
+constexpr std::int32_t kFrameBytes = 1518;
+/// Offered load as a fraction of line rate (headroom keeps the normal queue
+/// from congesting so every undelivered uid is a corruption loss).
+constexpr double kOfferedLoad = 0.9;
+/// Mean burst length of the link's Gilbert-Elliott loss chain (frames):
+/// independent losses, as Eq. 2's copy count assumes and the paper's Fig. 20
+/// measures. The burst-episode scenario scripts burstier spells.
+constexpr double kMeanBurst = 1.0;
+/// Injection stops this long before the scenario horizon so in-flight frames
+/// drain inside the run.
+constexpr SimTime kDrain = msec(5);
+
+// Control plane.
+constexpr SimTime kPollPeriod = msec(1);
+constexpr std::int64_t kWindowFrames = 20'000;
+constexpr double kDetectThreshold = 1e-4;
+/// Corruptd re-publishes while loss persists (recovers dropped notifications
+/// in the bus-outage scenario).
+constexpr SimTime kRenotifyPeriod = msec(5);
+constexpr double kLgTargetLoss = 1e-8;
+constexpr monitor::FallbackConfig kFallback = {5e-3, 5e-2, 0.5, msec(2)};
+
+/// Sliding estimate window (click's TAU): both the estimator's window and
+/// corruptd's window_tau, so stale probe evidence ages out and recovery is
+/// observable. 20 ms at the default probe period is ~2000 probes, making one
+/// lost probe a 5e-4 loss estimate — above kDetectThreshold, so detection
+/// latency is the time to the first lost probe plus a poll quantum.
+constexpr SimTime kProbeTau = msec(20);
+
+}  // namespace
 
 LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   const Scenario scenario = make_scenario(cfg.scenario);
@@ -30,16 +64,15 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   Rng rng(cfg.seed);
 
   lg::LinkSpec spec;
-  spec.rate = cfg.rate;
+  spec.rate = kRate;
   spec.name = "lifecycle";
-  lg::LgConfig lgc = lg::tuned_for_rate(cfg.lg, cfg.rate);
-  lg::ProtectedLink link(sim, spec, lgc);
+  lg::ProtectedLink link(sim, spec, lg::tuned_for_rate(lg::LgConfig{}, kRate));
 
   // The link starts healthy: a Gilbert-Elliott chain pinned out of the bad
   // state. The injector re-aims it (drive_rate / set_params / link flaps).
   net::GilbertElliottLoss::Params healthy;
   healthy.p_good_to_bad = 0.0;
-  healthy.p_bad_to_good = 1.0 / std::max(1.0, cfg.mean_burst);
+  healthy.p_bad_to_good = 1.0 / kMeanBurst;
   healthy.loss_good = 0.0;
   healthy.loss_bad = 1.0;
   auto ge_owned =
@@ -56,10 +89,10 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   std::unique_ptr<telemetry::LinkProber> prober;
   if (estimator_fed) {
     telemetry::EstimatorConfig ec;
-    ec.tau = cfg.probe_tau;
+    ec.tau = kProbeTau;
     ec.period = cfg.probe_period;
-    // Enough slots to cover probe_tau.
-    ec.window = cfg.probe_tau / std::max<SimTime>(1, cfg.probe_period) + 2;
+    // Enough slots to cover kProbeTau.
+    ec.window = kProbeTau / std::max<SimTime>(1, cfg.probe_period) + 2;
     estimator = std::make_unique<telemetry::SeqWindowEstimator>(ec);
     telemetry::ProberConfig pc;
     pc.period = cfg.probe_period;
@@ -101,17 +134,17 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   // on a bus with a modelled Redis hop.
   monitor::PubSubBus bus;
   bus.bind(sim);
-  bus.set_delay(cfg.bus_delay);
+  bus.set_delay(kNotifyBusDelay);
 
   monitor::CorruptdConfig mc;
-  mc.poll_period = cfg.poll_period;
-  mc.window_frames = cfg.window_frames;
-  mc.threshold = cfg.detect_threshold;
-  mc.renotify_period = cfg.renotify_period;
+  mc.poll_period = kPollPeriod;
+  mc.window_frames = kWindowFrames;
+  mc.threshold = kDetectThreshold;
+  mc.renotify_period = kRenotifyPeriod;
   // Estimator counters are probe units (small), so the binding window must
   // be time, not a frame budget: stale probe evidence ages out at TAU and
   // recovery (AutoFallback stepping back up) stays observable.
-  if (estimator_fed) mc.window_tau = cfg.probe_tau;
+  if (estimator_fed) mc.window_tau = kProbeTau;
   monitor::Corruptd daemon(sim, mc, bus);
   if (estimator_fed) {
     // The oracle-free feed: framesRxAll = probes the recovered schedule says
@@ -140,7 +173,7 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   // duplicates). Only kOff disables; re-engaging from kOff is the clean
   // era switchover (all in-flight frames are unprotected by then).
   monitor::AutoFallback fallback(
-      sim, cfg.fallback, [&] { return daemon.loss_rate(kLinkTarget); },
+      sim, kFallback, [&] { return daemon.loss_rate(kLinkTarget); },
       [&](monitor::LgMode m) {
         if (m == monitor::LgMode::kOff) {
           if (link.lg_enabled()) link.disable_lg();
@@ -159,10 +192,10 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   bool fallback_started = false;
 
   // Activation: first delivered notification enables LinkGuardian with the
-  // Eq. 2 copy count; renotifications (renotify_period) are idempotent.
+  // Eq. 2 copy count; renotifications (kRenotifyPeriod) are idempotent.
   std::int64_t sent = 0;
   std::int64_t engage_watermark = -1;
-  monitor::LgActivator activator(bus, cfg.lg_target_loss);
+  monitor::LgActivator activator(bus, kLgTargetLoss);
   activator.watch(kLinkTarget, [&](int copies) {
     if (link.lg_enabled() || fallback_started) return;
     link.set_actual_loss_rate(activator.records().back().measured_loss);
@@ -170,10 +203,8 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
     link.enable_lg();
     res.engaged_at = sim.now();
     engage_watermark = sent;
-    if (cfg.auto_fallback) {
-      fallback.start(monitor::LgMode::kOrdered);
-      fallback_started = true;
-    }
+    fallback.start(monitor::LgMode::kOrdered);
+    fallback_started = true;
   });
 
   // Scripted faults.
@@ -184,20 +215,20 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   if (prober) injector.add_prober(kProbeTarget, prober.get());
   injector.arm();
 
-  // Traffic: paced injection at offered_load x line rate, one
-  // self-rescheduling event. Stops `drain` before the horizon so in-flight
+  // Traffic: paced injection at kOfferedLoad x line rate, one
+  // self-rescheduling event. Stops kDrain before the horizon so in-flight
   // frames settle inside the run.
   const double gap =
-      static_cast<double>((cfg.frame_bytes + kEthernetPreamble + kEthernetIfg) *
+      static_cast<double>((kFrameBytes + kEthernetPreamble + kEthernetIfg) *
                           8) *
-      1e9 / (static_cast<double>(cfg.rate) * cfg.offered_load);
-  const SimTime stop_inject = scenario.horizon - cfg.drain;
+      1e9 / (static_cast<double>(kRate) * kOfferedLoad);
+  const SimTime stop_inject = scenario.horizon - kDrain;
   delivered.reserve(
       static_cast<std::size_t>(static_cast<double>(stop_inject) / gap) + 8);
   std::function<void()> inject = [&] {
     net::Packet p;
     p.kind = net::PktKind::kData;
-    p.frame_bytes = cfg.frame_bytes;
+    p.frame_bytes = kFrameBytes;
     p.uid = static_cast<std::uint64_t>(sent);
     p.created_at = sim.now();
     link.send_forward(std::move(p));
@@ -256,14 +287,9 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   if (estimator) res.probes_rx = estimator->received();
   res.mode_changes = fallback.changes();
   res.lg_enabled_at_end = link.lg_enabled();
-  if (fallback_started) {
-    res.final_mode = fallback.mode();
-  } else if (link.lg_enabled()) {
-    res.final_mode = link.preserve_order() ? monitor::LgMode::kOrdered
-                                           : monitor::LgMode::kNonBlocking;
-  } else {
-    res.final_mode = monitor::LgMode::kOff;
-  }
+  // Only the activator engages the link, and it starts AutoFallback when it
+  // does; a link that never engaged ends off.
+  res.final_mode = fallback_started ? fallback.mode() : monitor::LgMode::kOff;
 
   // Snapshot into the run's trace sink (per-cell when run under a
   // TraceCollector grid): the components die with this function.
@@ -287,11 +313,6 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
     }
   }
   return res;
-}
-
-std::vector<LifecycleResult> run_lifecycle_grid(
-    const std::vector<LifecycleConfig>& grid) {
-  return harness::run_grid(grid, run_lifecycle);
 }
 
 }  // namespace lgsim::fault

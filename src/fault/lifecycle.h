@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "fault/scenarios.h"
-#include "lg/config.h"
 #include "monitor/fallback.h"
 #include "util/units.h"
 
@@ -40,54 +39,22 @@ namespace lgsim::fault {
 ///                arrives: the oracle-free closed loop (src/telemetry).
 enum class CounterFeed : std::uint8_t { kOracle, kEstimator };
 
+/// Modelled Redis-hop latency between corruptd and the activator.
+inline constexpr SimTime kNotifyBusDelay = usec(50);
+
+/// One cell. The dataplane (a 25G link at 90% load, 1518 B frames,
+/// independent losses), corruptd, the bus and AutoFallback run with the
+/// fixed parameters in lifecycle.cc; a cell varies only its scenario, seed,
+/// counter feed and probe period.
 struct LifecycleConfig {
   std::string scenario = "onset";
   std::uint64_t seed = 1;
-
-  // Dataplane.
-  BitRate rate = gbps(25);
-  std::int32_t frame_bytes = 1518;
-  /// Offered load as a fraction of line rate (headroom keeps the normal
-  /// queue from congesting so every undelivered uid is a corruption loss).
-  double offered_load = 0.9;
-  /// Mean burst length of the link's Gilbert-Elliott loss chain (frames).
-  /// Default 1 (independent losses): Eq. 2's copy count assumes loss
-  /// independence, and the paper's Fig. 20 measures overwhelmingly
-  /// single-frame losses. Raise it (or use the burst-episode scenario) to
-  /// study how burstiness erodes the zero-loss guarantee.
-  double mean_burst = 1.0;
-
-  // Control plane.
-  SimTime poll_period = msec(1);
-  std::int64_t window_frames = 20'000;
-  double detect_threshold = 1e-4;
-  /// Modelled Redis-hop latency between corruptd and the activator.
-  SimTime bus_delay = usec(50);
-  /// Corruptd re-publishes while loss persists (recovers dropped
-  /// notifications in the bus-outage scenario).
-  SimTime renotify_period = msec(5);
-  double lg_target_loss = 1e-8;
-
-  bool auto_fallback = true;
-  monitor::FallbackConfig fallback = {5e-3, 5e-2, 0.5, msec(2)};
-
-  lg::LgConfig lg;
-
-  /// Injection stops this long before the scenario horizon so in-flight
-  /// frames drain inside the run.
-  SimTime drain = msec(5);
 
   // Telemetry (estimator feed only; ignored for kOracle).
   CounterFeed feed = CounterFeed::kOracle;
   /// Probe emission period. 64 B + overhead every 10 us is ~0.27% of a 25G
   /// link; halving it halves detection latency at low loss rates.
   SimTime probe_period = usec(10);
-  /// Sliding estimate window (click's TAU): both the estimator's window and
-  /// corruptd's window_tau, so stale probe evidence ages out and recovery is
-  /// observable. 20 ms at the default period is ~2000 probes, making one
-  /// lost probe a 5e-4 loss estimate — above detect_threshold, so detection
-  /// latency is the time to the first lost probe plus a poll quantum.
-  SimTime probe_tau = msec(20);
 };
 
 struct LifecycleResult {
@@ -129,12 +96,8 @@ struct LifecycleResult {
   double estimate_rate = 0.0;        // final windowed loss estimate
 };
 
-/// Runs one scenario cell end to end.
+/// Runs one scenario cell end to end. Grids fan out through
+/// harness::run_grid(grid, run_lifecycle) (harness/parallel.h).
 LifecycleResult run_lifecycle(const LifecycleConfig& cfg);
-
-/// Runs a grid of cells through harness::run_grid; results come back
-/// in grid order, byte-identical for any LGSIM_BENCH_JOBS.
-std::vector<LifecycleResult> run_lifecycle_grid(
-    const std::vector<LifecycleConfig>& grid);
 
 }  // namespace lgsim::fault

@@ -24,12 +24,12 @@
 
 namespace lgsim::fault {
 
+/// Trace records carry static_cast<uint16_t>(kind), so the values are part
+/// of the trace format and never renumber (2 and 3 are unassigned).
 enum class FaultKind : std::uint8_t {
   kBerStep = 0,     // set the link's marginal loss rate to `a`
-  kBerRamp,         // ramp loss rate a -> b over `duration`, every `step`
-  kAttenStep,       // re-aim the VOA to `a` dB
-  kAttenRamp,       // ramp attenuation a -> b dB over `duration`
-  kGilbertEpisode,  // Gilbert-Elliott burst window: `ge` for `duration`
+  kBerRamp = 1,     // ramp loss rate a -> b over `duration`, every `step`
+  kGilbertEpisode = 4,  // Gilbert-Elliott burst window: `ge` for `duration`
   kLinkDown,        // link flap: every frame lost until kLinkUp
   kLinkUp,
   kBusDelay,        // inject `a` ns of extra control-plane latency
@@ -41,17 +41,15 @@ enum class FaultKind : std::uint8_t {
   kProbeStallEnd,
 };
 
-const char* fault_kind_name(FaultKind k);
-
 /// How a ramp interpolates between its endpoints. Loss rates span decades,
 /// so the physical default for BER ramps is log-linear (a fiber degrading
-/// "one decade per interval"); attenuation in dB is already logarithmic and
-/// ramps linearly.
+/// "one decade per interval").
 enum class RampShape : std::uint8_t { kLinear, kLog };
 
 /// One timeline entry. `target` names a handle registered with the injector
-/// (a link's loss model, a VOA, a PubSubBus, a Corruptd daemon); payload
-/// fields are kind-specific and documented on the FaultScript builders.
+/// (a link's loss model, a PubSubBus, a Corruptd daemon, a LinkProber);
+/// payload fields are kind-specific and documented on the FaultScript
+/// builders.
 struct FaultEvent {
   SimTime at = 0;
   FaultKind kind = FaultKind::kBerStep;
@@ -95,32 +93,6 @@ class FaultScript {
     e.duration = duration;
     e.step = step;
     e.shape = shape;
-    events_.push_back(std::move(e));
-    return *this;
-  }
-
-  /// Re-aim the VOA on attenuator `target` to `db` at `at`.
-  FaultScript& atten_step(SimTime at, std::string target, double db) {
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::kAttenStep;
-    e.target = std::move(target);
-    e.a = db;
-    events_.push_back(std::move(e));
-    return *this;
-  }
-
-  /// Linear attenuation ramp `from` -> `to` dB over `duration`.
-  FaultScript& atten_ramp(SimTime at, std::string target, double from,
-                          double to, SimTime duration, SimTime step) {
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::kAttenRamp;
-    e.target = std::move(target);
-    e.a = from;
-    e.b = to;
-    e.duration = duration;
-    e.step = step;
     events_.push_back(std::move(e));
     return *this;
   }

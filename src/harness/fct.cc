@@ -1,10 +1,11 @@
 #include "harness/fct.h"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "net/loss_model.h"
 #include "transport/rdma.h"
-#include "transport/tcp.h"
 
 namespace lgsim::harness {
 
@@ -26,6 +27,17 @@ const char* protection_name(Protection p) {
     case Protection::kLgNb: return "LG_NB";
   }
   return "?";
+}
+
+transport::TcpConfig tcp_config(Transport t) {
+  switch (t) {
+    case Transport::kDctcp: return {transport::TcpCc::kDctcp};
+    case Transport::kCubic: return {transport::TcpCc::kCubic};
+    case Transport::kBbr: return {transport::TcpCc::kBbr};
+    case Transport::kRdmaWrite: break;
+  }
+  throw std::invalid_argument(std::string("tcp_config: ") + transport_name(t) +
+                              " is not a TCP transport");
 }
 
 namespace {
@@ -89,22 +101,6 @@ FctResult run_fct(const FctConfig& cfg) {
   }
 
   const bool is_rdma = cfg.transport == Transport::kRdmaWrite;
-  transport::TcpConfig tcfg;
-  switch (cfg.transport) {
-    case Transport::kDctcp:
-      tcfg.cc = transport::TcpCc::kDctcp;
-      tcfg.ecn_capable = true;
-      break;
-    case Transport::kCubic:
-      tcfg.cc = transport::TcpCc::kCubic;
-      break;
-    case Transport::kBbr:
-      tcfg.cc = transport::TcpCc::kBbr;
-      break;
-    default:
-      break;
-  }
-  transport::RdmaConfig rcfg;
 
   // One long-lived sender/receiver pair, reset per trial with a fresh flow
   // id (exactly like back-to-back client invocations on the testbed hosts).
@@ -117,18 +113,18 @@ FctResult run_fct(const FctConfig& cfg) {
   std::unique_ptr<transport::RdmaReceiver> rdma_rcv;
   if (is_rdma) {
     rdma_snd = std::make_unique<transport::RdmaSender>(
-        sim, rcfg, 1, [&](net::Packet&& p) { path.send_from_a(std::move(p)); },
+        sim, 1, [&](net::Packet&& p) { path.send_from_a(std::move(p)); },
         on_done);
     rdma_rcv = std::make_unique<transport::RdmaReceiver>(
-        sim, rcfg, 1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
+        1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
     path.set_sink_at_b([&](net::Packet&& p) { rdma_rcv->on_data(p); });
     path.set_sink_at_a([&](net::Packet&& p) { rdma_snd->on_transport(p); });
   } else {
     tcp_snd = std::make_unique<transport::TcpSender>(
-        sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_a(std::move(p)); },
-        on_done);
+        sim, tcp_config(cfg.transport), 1,
+        [&](net::Packet&& p) { path.send_from_a(std::move(p)); }, on_done);
     tcp_rcv = std::make_unique<transport::TcpReceiver>(
-        sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
+        1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
     path.set_sink_at_b([&](net::Packet&& p) { tcp_rcv->on_data(p); });
     path.set_sink_at_a([&](net::Packet&& p) { tcp_snd->on_ack(p); });
   }
@@ -140,9 +136,9 @@ FctResult run_fct(const FctConfig& cfg) {
   for (std::int64_t trial = 0; trial < n_trials; ++trial) {
     const std::int64_t flow_bytes =
         cfg.trial_bytes.empty() ? cfg.flow_bytes : cfg.trial_bytes[trial];
-    const std::int64_t n_segs =
-        is_rdma ? (flow_bytes + rcfg.payload - 1) / rcfg.payload
-                : (flow_bytes + tcfg.mss - 1) / tcfg.mss;
+    const std::int64_t seg_bytes =
+        is_rdma ? transport::kRdmaPayload : transport::kTcpMss;
+    const std::int64_t n_segs = (flow_bytes + seg_bytes - 1) / seg_bytes;
     const std::uint32_t fid = static_cast<std::uint32_t>(trial + 1);
     trial_fct = -1;
     if (loss != nullptr) loss->begin_trial();

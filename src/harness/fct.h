@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "transport/path.h"
+#include "transport/tcp.h"
 #include "util/stats.h"
 #include "util/units.h"
 
@@ -21,6 +22,10 @@ enum class Protection : std::uint8_t { kNoLoss, kLossOnly, kLg, kLgNb };
 
 const char* transport_name(Transport t);
 const char* protection_name(Protection p);
+
+/// The TcpConfig a TCP transport runs with. Throws std::invalid_argument
+/// for kRdmaWrite, which is not TCP.
+transport::TcpConfig tcp_config(Transport t);
 
 struct FctConfig {
   Transport transport = Transport::kDctcp;

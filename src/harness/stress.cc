@@ -181,10 +181,10 @@ StressResult run_stress(const StressConfig& cfg) {
   if (res.elapsed > 0) {
     res.recirc_overhead_tx_frac =
         static_cast<double>(ss.recirc_loops) / to_sec(res.elapsed) /
-        lgc.pipe_capacity_pps;
+        lg::kPipeCapacityPps;
     res.recirc_overhead_rx_frac =
         static_cast<double>(rs.recirc_loops) / to_sec(res.elapsed) /
-        lgc.pipe_capacity_pps;
+        lg::kPipeCapacityPps;
   }
 
   // Final metrics snapshot into the run's sink: the components die with this

@@ -4,8 +4,6 @@
 
 #include "net/loss_model.h"
 #include "transport/path.h"
-#include "transport/rdma.h"
-#include "transport/tcp.h"
 
 namespace lgsim::harness {
 
@@ -31,6 +29,7 @@ class SwitchableLoss final : public net::LossModel {
 }  // namespace
 
 TimelineResult run_timeline(const TimelineConfig& cfg) {
+  const transport::TcpConfig tcfg = tcp_config(cfg.transport);
   Simulator sim;
   TimelineResult res;
   res.cfg = cfg;
@@ -57,27 +56,11 @@ TimelineResult run_timeline(const TimelineConfig& cfg) {
   SwitchableLoss* loss = loss_owned.get();
   path.link().set_loss_model(std::move(loss_owned));
 
-  transport::TcpConfig tcfg;
-  switch (cfg.transport) {
-    case Transport::kDctcp:
-      tcfg.cc = transport::TcpCc::kDctcp;
-      tcfg.ecn_capable = true;
-      break;
-    case Transport::kCubic:
-      tcfg.cc = transport::TcpCc::kCubic;
-      break;
-    case Transport::kBbr:
-      tcfg.cc = transport::TcpCc::kBbr;
-      break;
-    default:
-      break;
-  }
-
   transport::TcpSender snd(
       sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_a(std::move(p)); },
       [](SimTime) {});
   transport::TcpReceiver rcv(
-      sim, tcfg, 1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
+      1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
   std::int64_t delivered_window = 0;
   path.set_sink_at_b([&](net::Packet&& p) {
     delivered_window += p.tcp.payload;

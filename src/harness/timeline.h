@@ -64,6 +64,8 @@ struct TimelineResult {
   }
 };
 
+/// Runs one timeline. Throws std::invalid_argument for kRdmaWrite: the
+/// timeline drives a TCP flow.
 TimelineResult run_timeline(const TimelineConfig& cfg);
 
 }  // namespace lgsim::harness

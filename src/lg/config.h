@@ -20,6 +20,27 @@ inline int retx_copies(double actual_loss_rate, double target_loss_rate) {
   return std::max(1, static_cast<int>(std::ceil(n - 1e-9)));
 }
 
+// Dataplane constants of the Tofino implementation (§3.5, Appendix B.1):
+// the same at every link speed, so they are not configurable.
+
+/// Granularity of the switch packet-generator timer packets used for
+/// timekeeping (10 Mpps in the paper = 100 ns).
+inline constexpr SimTime kTimerPeriod = nsec(100);
+/// Rate at which the recirculation-based reordering buffer drains
+/// (recirculation ports run at 100G regardless of front-panel speed).
+inline constexpr BitRate kRecircDrainRate = gbps(100);
+/// The pause/resume signal rides the periodic timer-packet stream on the
+/// testbed (§3.5), so it is continuously refreshed; a lost PFC frame is
+/// repaired by the next one. This is the refresh interval of that model
+/// (the resume state is repeated a few times after un-pausing).
+inline constexpr SimTime kPfcRefreshPeriod = usec(1);
+/// LinkGuardian data/ACK header bytes added to protected packets (§3.5).
+inline constexpr std::int32_t kLgHeaderBytes = 3;
+/// Assumed per-pipe forwarding capacity in packets/s, used only to express
+/// recirculation overhead as a percentage (Table 4). The paper states its
+/// 10 Mpps timer stream is ~1% of pipeline capacity => ~1 Gpps.
+inline constexpr double kPipeCapacityPps = 1.0e9;
+
 struct LgConfig {
   // ---- operating mode -------------------------------------------------
   /// Default mode preserves packet ordering via the receiver-side reordering
@@ -47,9 +68,6 @@ struct LgConfig {
   /// Receiver-side timeout after which an unrecovered packet is skipped
   /// (ordered mode only). Paper: 7.5 us @25G, 7 us @100G.
   SimTime ack_no_timeout = usec(7);
-  /// Granularity of the switch packet-generator timer packets used for
-  /// timekeeping (10 Mpps in the paper = 100 ns).
-  SimTime timer_period = nsec(100);
 
   /// Backpressure thresholds on the reordering buffer (bytes). Paper:
   /// resume = 40 KB @25G / 37 KB @100G; pause = resume + 2 MTU hysteresis.
@@ -62,9 +80,6 @@ struct LgConfig {
   /// on the Tofino (Fig. 19); a Tofino2-style zero-recirculation design can
   /// be modelled by setting it near zero.
   SimTime recirc_loop = nsec(1200);
-  /// Rate at which the recirculation-based reordering buffer drains
-  /// (recirculation ports run at 100G regardless of front-panel speed).
-  BitRate recirc_drain_rate = gbps(100);
   /// Byte capacity of the recirculation buffer (the paper restricts the
   /// testbed switches to 200 KB).
   std::int64_t recirc_buffer_bytes = 200'000;
@@ -74,29 +89,16 @@ struct LgConfig {
   /// Copies of each loss notification sent (reverse-direction robustness,
   /// relevant under bidirectional corruption, §5).
   int loss_notif_copies = 1;
-  /// The pause/resume signal rides the periodic timer-packet stream on the
-  /// testbed (§3.5), so it is continuously refreshed; a lost PFC frame is
-  /// repaired by the next one. This is the refresh interval of that model
-  /// (the resume state is repeated a few times after un-pausing).
-  SimTime pfc_refresh_period = usec(1);
-
   /// Copies of the other reverse-direction control messages (explicit ACKs
   /// and PFC pause/resume frames). §5 "Handling bidirectional corruption":
   /// control redundancy is the first half of the extension; all control
   /// messages are idempotent, so duplicates are harmless.
   int control_copies = 1;
-  /// LinkGuardian data/ACK header bytes added to protected packets (§3.5).
-  std::int32_t header_bytes = 3;
 
   /// Seed for the per-packet recirculation-phase jitter (where in the loop
   /// a buffered copy happens to sit when it becomes actionable). Gives the
   /// retransmission-delay distribution its measured spread (Fig. 19).
   std::uint64_t jitter_seed = 0x1234abcd;
-
-  /// Assumed per-pipe forwarding capacity in packets/s, used only to express
-  /// recirculation overhead as a percentage (Table 4). The paper states its
-  /// 10 Mpps timer stream is ~1% of pipeline capacity => ~1 Gpps.
-  double pipe_capacity_pps = 1.0e9;
 };
 
 /// Applies the paper's per-link-speed tuning (Appendix B.1): the measured

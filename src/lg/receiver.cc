@@ -43,7 +43,7 @@ void LgReceiver::disable() {
   // Flush the reordering buffer in sequence order so nothing is stranded.
   buffer_.for_each([this](std::int64_t, Buffered& b) {
     net::Packet p = std::move(b.pkt);
-    p.frame_bytes -= cfg_.header_bytes;
+    p.frame_bytes -= kLgHeaderBytes;
     p.lg.valid = false;
     ++stats_.forwarded;
     stats_.forwarded_bytes += p.frame_bytes;
@@ -107,7 +107,7 @@ std::int64_t LgReceiver::resolve_virtual(SeqEra wire) const {
 SimTime LgReceiver::quantize_up(SimTime t) const {
   // Timekeeping on the switch runs off the packet-generator timer stream
   // (10 Mpps in the paper); deadlines land on the next timer tick.
-  const SimTime p = cfg_.timer_period;
+  const SimTime p = kTimerPeriod;
   if (p <= 1) return t;
   return (t + p - 1) / p * p;
 }
@@ -293,7 +293,7 @@ void LgReceiver::on_timeout(std::int64_t v) {
 }
 
 void LgReceiver::forward_now(net::Packet&& p) {
-  p.frame_bytes -= cfg_.header_bytes;
+  p.frame_bytes -= kLgHeaderBytes;
   p.lg.valid = false;
   ++stats_.forwarded;
   stats_.forwarded_bytes += p.frame_bytes;
@@ -311,7 +311,7 @@ void LgReceiver::schedule_release() {
   assert(head != nullptr);
   const Buffered& b = *head;
   const SimTime spacing =
-      serialization_time(b.pkt.wire_bytes(), cfg_.recirc_drain_rate);
+      serialization_time(b.pkt.wire_bytes(), kRecircDrainRate);
   // The head of a fresh drain waits for its next pass through the
   // recirculation loop (its position in the loop is the random per-packet
   // phase); once the chain is flowing, buffered packets are spread through
@@ -397,7 +397,7 @@ void LgReceiver::send_pfc(bool pause) {
 void LgReceiver::arm_pfc_refresh() {
   if (pfc_refresh_armed_) return;
   pfc_refresh_armed_ = true;
-  sim_.schedule_in(cfg_.pfc_refresh_period, [this] {
+  sim_.schedule_in(kPfcRefreshPeriod, [this] {
     pfc_refresh_armed_ = false;
     if (!enabled_ || !cfg_.backpressure) return;
     if (bp_paused_) {

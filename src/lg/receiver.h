@@ -97,16 +97,6 @@ class LgReceiver {
   const Stats& stats() const { return stats_; }
   Stats& mutable_stats() { return stats_; }
 
-  // Introspection for tests and debugging.
-  std::int64_t debug_ack_no() const { return ack_no_v_; }
-  std::int64_t debug_latest_rx() const { return latest_rx_v_; }
-  std::int64_t debug_buffer_head() const {
-    return buffer_.empty() ? -1 : buffer_.front_key();
-  }
-  std::size_t debug_outstanding() const { return outstanding_.size(); }
-  std::size_t debug_skipped() const { return skipped_.size(); }
-  bool debug_release_pending() const { return release_pending_; }
-
  private:
   struct Buffered {
     net::Packet pkt;

@@ -70,8 +70,7 @@ void LgSender::protect_at_egress(net::Packet& p) {
   p.lg.seq = wire.seq;
   p.lg.era = wire.era;
   p.lg.retransmitted = false;
-  p.debug_true_seq = static_cast<std::uint64_t>(v);
-  p.frame_bytes += cfg_.header_bytes;  // 3-byte LinkGuardian data header
+  p.frame_bytes += kLgHeaderBytes;  // 3-byte LinkGuardian data header
 
   Buffered b;
   b.copy = p;  // egress mirroring: buffer the stamped copy
@@ -207,7 +206,6 @@ void LgSender::on_transmit(net::Packet& p, int queue) {
     const SeqEra wire = to_wire(next_v_ - 1);
     p.lg.seq = wire.seq;
     p.lg.era = wire.era;
-    p.debug_true_seq = static_cast<std::uint64_t>(next_v_ - 1);
     return;
   }
   // Tail-loss handling (§3.2): when the normal queue drains, arm a burst of
@@ -237,7 +235,6 @@ net::Packet LgSender::make_dummy() const {
   d.lg.valid = true;
   d.lg.seq = wire.seq;
   d.lg.era = wire.era;
-  d.debug_true_seq = static_cast<std::uint64_t>(last);
   return d;
 }
 

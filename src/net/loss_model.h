@@ -190,68 +190,4 @@ class ScriptedLoss final : public LossModel {
   std::uint64_t next_ = 0;
 };
 
-/// Piecewise-constant loss rate over time: models a link whose corruption
-/// level changes as the fiber degrades or is partially repaired. Segments
-/// are (start_time, rate) pairs in increasing time order; the rate before
-/// the first segment is 0.
-class TimeVaryingLoss final : public LossModel {
- public:
-  struct Segment {
-    SimTime start;
-    double rate;
-  };
-
-  TimeVaryingLoss(std::vector<Segment> segments, Rng rng)
-      : segments_(std::move(segments)), rng_(rng) {}
-
-  bool lose(SimTime now, const Packet&) override {
-    // Frames arrive in nondecreasing simulation time, so a monotone cursor
-    // replaces the seed's per-frame rescan of every segment. Time moving
-    // backwards (a fresh replay against the same model) resets the cursor,
-    // preserving the original any-order semantics; the RNG consumes exactly
-    // one draw per frame either way (none when the active rate is 0 —
-    // bernoulli(0) short-circuits before drawing, exactly as before).
-    if (now < last_now_) cursor_ = 0;
-    last_now_ = now;
-    while (cursor_ < segments_.size() && now >= segments_[cursor_].start)
-      ++cursor_;
-    const double rate = cursor_ > 0 ? segments_[cursor_ - 1].rate : 0.0;
-    return rng_.bernoulli(rate);
-  }
-
-  double rate_at(SimTime t) const {
-    double rate = 0.0;
-    for (const auto& s : segments_) {
-      if (t >= s.start) rate = s.rate;
-      else break;
-    }
-    return rate;
-  }
-
- private:
-  std::vector<Segment> segments_;
-  Rng rng_;
-  std::size_t cursor_ = 0;     // first segment with start > last_now_
-  SimTime last_now_ = 0;
-};
-
-/// Applies an inner model only to a subset of packet kinds; everything else
-/// passes through. Used to e.g. exempt reverse-direction control traffic when
-/// modelling unidirectional corruption.
-class FilteredLoss final : public LossModel {
- public:
-  using Predicate = bool (*)(const Packet&);
-  FilteredLoss(std::unique_ptr<LossModel> inner, Predicate pred)
-      : inner_(std::move(inner)), pred_(pred) {}
-
-  bool lose(SimTime now, const Packet& p) override {
-    if (!pred_(p)) return false;
-    return inner_->lose(now, p);
-  }
-
- private:
-  std::unique_ptr<LossModel> inner_;
-  Predicate pred_;
-};
-
 }  // namespace lgsim::net

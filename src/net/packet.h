@@ -138,10 +138,6 @@ struct Packet {
   RiflHeader rifl;
   DupHeader dup;
 
-  /// Shadow 64-bit sequence number used only by tests/assertions to validate
-  /// the 16-bit + era wire arithmetic; protocol logic never reads it.
-  std::uint64_t debug_true_seq = 0;
-
   std::int64_t wire_bytes() const { return frame_bytes + kEthernetPreamble + kEthernetIfg; }
 };
 

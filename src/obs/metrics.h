@@ -1,6 +1,6 @@
 // Metrics registry: named counters / gauges / distributions that components
 // (ports, LG sender/receiver, transports, corruptd, the Simulator itself)
-// publish into, snapshotted on demand and exported as JSON or CSV.
+// publish into, snapshotted on demand and exported as JSON.
 //
 // The registry is a plain value container — components *push* their final (or
 // sampled) values into it rather than registering callbacks, so the registry
@@ -9,7 +9,7 @@
 // owns this registry survives until the bench exports the trace).
 //
 // Determinism: all three maps are std::map, so iteration — and therefore the
-// JSON/CSV byte stream — is ordered by name, independent of insertion order.
+// JSON byte stream — is ordered by name, independent of insertion order.
 #pragma once
 
 #include <algorithm>
@@ -83,12 +83,6 @@ class MetricsRegistry {
       os << '"' << n << "\":" << format_value(v);
     }
     os << '}';
-  }
-
-  /// `metric,value` rows with a header line, sorted by name.
-  void write_csv(std::ostream& os) const {
-    os << "metric,value\n";
-    for (const auto& [n, v] : snapshot()) os << n << ',' << format_value(v) << '\n';
   }
 
   /// Deterministic number formatting: integral values (the common case —

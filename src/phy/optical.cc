@@ -138,28 +138,4 @@ Transceiver make_50g_sr() {
   return make("50GBASE-SR (FEC)", Modulation::kPam4, FecCode::kRs544_514, 10.5);
 }
 
-double AttenuationProfile::db_at(SimTime t) const {
-  if (knots.empty()) return 0.0;
-  if (t <= knots.front().at) return knots.front().db;
-  for (std::size_t i = 1; i < knots.size(); ++i) {
-    const Knot& lo = knots[i - 1];
-    const Knot& hi = knots[i];
-    if (t <= hi.at) {
-      const double frac = hi.at == lo.at
-                              ? 1.0
-                              : static_cast<double>(t - lo.at) /
-                                    static_cast<double>(hi.at - lo.at);
-      return lo.db + (hi.db - lo.db) * frac;
-    }
-  }
-  return knots.back().db;
-}
-
-AttenuationProfile& AttenuationProfile::hold(SimTime at, double db) {
-  if (!knots.empty() && at <= knots.back().at)
-    throw std::invalid_argument("AttenuationProfile: knots must be increasing");
-  knots.push_back({at, db});
-  return *this;
-}
-
 }  // namespace lgsim::phy

@@ -22,11 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
-#include <vector>
-
-#include "util/units.h"
 
 namespace lgsim::phy {
 
@@ -81,32 +77,5 @@ Transceiver make_10g_sr();
 Transceiver make_25g_sr_nofec();
 Transceiver make_25g_sr_fec();
 Transceiver make_50g_sr();
-
-/// Time-varying attenuation: what the testbed's Variable Optical Attenuator
-/// does when a fault scenario degrades the fiber mid-run. Piecewise-linear
-/// interpolation between (time, dB) knots; before the first knot the profile
-/// holds the first value, after the last it holds the last (a degraded fiber
-/// stays degraded until the script says otherwise).
-struct AttenuationProfile {
-  struct Knot {
-    SimTime at = 0;
-    double db = 0.0;
-  };
-
-  std::vector<Knot> knots;  // strictly increasing `at`
-
-  AttenuationProfile() = default;
-  AttenuationProfile(std::initializer_list<Knot> k) : knots(k) {}
-
-  /// Attenuation at simulation time `t` (dB).
-  double db_at(SimTime t) const;
-
-  /// Convenience builders, chainable: profile.hold(0, 8.0).ramp_to(t, 14.0).
-  AttenuationProfile& hold(SimTime at, double db);
-  AttenuationProfile& ramp_to(SimTime at, double db) { return hold(at, db); }
-
-  bool empty() const { return knots.empty(); }
-  SimTime end_time() const { return knots.empty() ? 0 : knots.back().at; }
-};
 
 }  // namespace lgsim::phy

@@ -125,11 +125,6 @@ struct CellOut {
   lgsim::PercentileTracker bg_us;
 };
 
-/// Extra one-way latency folded into the victim testbed path per fabric link
-/// beyond the first (switch pipeline + fiber, matching FluidConfig's
-/// per-hop term).
-constexpr SimTime kExtraHopLatency = nsec(700);
-
 /// One {seed, time-slice} cell and the read-only state its stages share.
 class Cell {
  public:
@@ -240,7 +235,7 @@ harness::FctConfig Cell::replay_config(std::int32_t hot_idx,
   fc.rate = cfg_.link_rate;
   fc.path.lg.target_loss_rate = cfg_.lg_target_loss;
   fc.path.link.prop_delay +=
-      kExtraHopLatency * std::max<std::int32_t>(0, n_links - 1);
+      kHopLatency * std::max<std::int32_t>(0, n_links - 1);
   if (hot_idx >= 0) {
     const HotLink& h = sc_.hot[static_cast<std::size_t>(hot_idx)];
     fc.protection =

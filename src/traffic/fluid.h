@@ -6,18 +6,19 @@
 // split that hybrid fabric simulators (P4sim et al.) use to reach fabric
 // scale. The model mirrors the packet path's timing structure:
 //
-//   rtt   = 2 * (host_delay + hops * per_hop_latency) + frame serialization,
+//   rtt   = 2 * (host_delay + hops * kHopLatency) + frame serialization,
 //           inflated by an M/M/1-style load term per traversed queue;
 //   FCT   = slow-start rounds (cwnd doubling from init_cwnd, capped at the
 //           bandwidth-delay product, each round costing max(rtt, send time))
 //           + the residual serialization once the window saturates;
 //   loss  = with probability 1-(1-p)^frames the flow eats one recovery:
-//           an RTO (rto_min) when the loss cannot be repaired by fast
+//           an RTO (RTOmin) when the loss cannot be repaired by fast
 //           retransmit (short flow, or tail loss ~ 3/n_segs), else one
 //           extra round trip — the corruption-induced penalty sampled from
 //           the scenario's residual-loss rates.
 //
-// The constants default to the packet path's (TcpConfig / PathConfig), so
+// MSS, header bytes, initial window and RTOmin are TCP's own constants
+// (transport/tcp.h) and the host delay defaults to PathConfig's, so
 // no-loss fluid FCTs land in the same decade as the packet reference;
 // tests/traffic_test.cc pins a coarse agreement band. Victim-flow accuracy
 // never depends on this model — that is the whole point of the hybrid split.
@@ -28,29 +29,28 @@
 #include <cstdint>
 
 #include "sim/random.h"
+#include "transport/tcp.h"
 #include "util/units.h"
 
 namespace lgsim::traffic {
 
+/// Fixed one-way latency per traversed switch-to-switch link (switch
+/// pipeline + NIC/fiber propagation). The packet path folds the same value
+/// into a replayed victim's testbed link per extra fabric hop.
+inline constexpr SimTime kHopLatency = nsec(700);
+
 struct FluidConfig {
   /// Per-endpoint host-stack delay (both ends contribute per direction).
   SimTime host_delay = usec(12);
-  /// Fixed one-way latency per traversed switch-to-switch link (switch
-  /// pipeline + NIC/fiber propagation).
-  SimTime per_hop_latency = nsec(700);
-  std::int32_t mss = 1448;
-  std::int32_t header_bytes = 70;
-  double init_cwnd_segs = 10.0;
-  SimTime rto_min = msec(1);
   /// Average utilization of fabric queues; drives the queueing-delay term.
   double load = 0.1;
 };
 
 class FluidModel {
  public:
-  FluidModel(const FluidConfig& cfg, BitRate rate) : cfg_(cfg), rate_(rate) {
-    frame_ns_ = static_cast<double>(
-        serialization_time(cfg.mss + cfg.header_bytes, rate));
+  FluidModel(const FluidConfig& cfg, BitRate rate) : cfg_(cfg) {
+    frame_ns_ = static_cast<double>(serialization_time(
+        transport::kTcpMss + transport::kTcpHeaderBytes, rate));
     const double rho = std::clamp(cfg.load, 0.0, 0.95);
     queue_ns_per_hop_ = rho / (1.0 - rho) * frame_ns_;
   }
@@ -61,10 +61,10 @@ class FluidModel {
   double fct_ns(std::int64_t bytes, std::int32_t n_links, double loss,
                 Rng& rng) const {
     const auto n_segs = std::max<std::int64_t>(
-        1, (bytes + cfg_.mss - 1) / cfg_.mss);
+        1, (bytes + transport::kTcpMss - 1) / transport::kTcpMss);
     const double rtt =
         2.0 * (static_cast<double>(cfg_.host_delay) +
-               n_links * (static_cast<double>(cfg_.per_hop_latency) +
+               n_links * (static_cast<double>(kHopLatency) +
                           queue_ns_per_hop_)) +
         frame_ns_;
 
@@ -72,7 +72,7 @@ class FluidModel {
     // which the transfer is serialization-limited) or the flow ends.
     const double bdp_segs = std::max(1.0, rtt / frame_ns_);
     double t = 0.0;
-    double cwnd = cfg_.init_cwnd_segs;
+    double cwnd = transport::kTcpInitCwndSegs;
     std::int64_t sent = 0;
     while (sent < n_segs) {
       const double in_round =
@@ -95,7 +95,7 @@ class FluidModel {
         // very short flows, and a tail loss (~3 trailing segments) also
         // falls back to the timer.
         const bool rto = n_segs < 4 || rng.bernoulli(3.0 / static_cast<double>(n_segs));
-        t += rto ? static_cast<double>(cfg_.rto_min) : rtt;
+        t += rto ? static_cast<double>(transport::kTcpRtoMin) : rtt;
       }
     }
     return t;
@@ -103,7 +103,6 @@ class FluidModel {
 
  private:
   FluidConfig cfg_;
-  BitRate rate_;
   double frame_ns_ = 0.0;
   double queue_ns_per_hop_ = 0.0;
 };

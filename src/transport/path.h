@@ -20,15 +20,18 @@
 
 namespace lgsim::transport {
 
+/// Switch ingress/egress pipeline latency per traversal.
+inline constexpr SimTime kPipelineLatency = nsec(400);
+/// Host NIC to switch propagation.
+inline constexpr SimTime kNicProp = nsec(100);
+/// Host NIC / qdisc queue budget (BQL-style bound).
+inline constexpr std::int64_t kNicQueueBytes = 4'000'000;
+
 struct PathConfig {
   BitRate rate = gbps(100);
   /// Per-endpoint processing delay applied on packet receive (host stack for
   /// kernel TCP; DMA/doorbell for RDMA NICs).
   SimTime host_delay = usec(12);
-  SimTime pipeline_latency = nsec(400);
-  SimTime nic_prop = nsec(100);
-  /// Host NIC / qdisc queue budget (BQL-style bound).
-  std::int64_t nic_queue_bytes = 4'000'000;
   lg::LinkSpec link;
   lg::LgConfig lg;
 };
@@ -56,25 +59,25 @@ class TestbedPath {
       : sim_(sim),
         cfg_(cfg),
         link_(sim, cfg.link, cfg.lg),
-        nic_a_(sim, "nicA", cfg.rate, cfg.nic_prop),
-        nic_b_(sim, "nicB", cfg.rate, cfg.nic_prop),
+        nic_a_(sim, "nicA", cfg.rate, kNicProp),
+        nic_b_(sim, "nicB", cfg.rate, kNicProp),
         // Each hop's fixed latency is a pooled PipelineDelay stage: the
         // scheduled closures stay within the kernel's inline-callback budget
         // instead of capturing the Packet by value.
-        pipe_a_to_link_(sim, cfg.pipeline_latency,
+        pipe_a_to_link_(sim, kPipelineLatency,
                         [this](net::Packet&& p) { link_.send_forward(std::move(p)); }),
-        pipe_b_to_link_(sim, cfg.pipeline_latency,
+        pipe_b_to_link_(sim, kPipelineLatency,
                         [this](net::Packet&& p) { link_.send_reverse(std::move(p)); }),
-        pipe_to_b_(sim, cfg.pipeline_latency + cfg.host_delay,
+        pipe_to_b_(sim, kPipelineLatency + cfg.host_delay,
                    [this](net::Packet&& p) {
                      if (to_b_) to_b_(std::move(p));
                    }),
-        pipe_to_a_(sim, cfg.pipeline_latency + cfg.host_delay,
+        pipe_to_a_(sim, kPipelineLatency + cfg.host_delay,
                    [this](net::Packet&& p) {
                      if (to_a_) to_a_(std::move(p));
                    }) {
-    nic_a_q_ = nic_a_.add_queue({.byte_limit = cfg.nic_queue_bytes});
-    nic_b_q_ = nic_b_.add_queue({.byte_limit = cfg.nic_queue_bytes});
+    nic_a_q_ = nic_a_.add_queue({.byte_limit = kNicQueueBytes});
+    nic_b_q_ = nic_b_.add_queue({.byte_limit = kNicQueueBytes});
 
     // hostA NIC -> sender switch ingress pipeline -> protected link egress.
     nic_a_.set_deliver(

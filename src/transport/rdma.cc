@@ -7,19 +7,19 @@
 
 namespace lgsim::transport {
 
-RdmaSender::RdmaSender(Simulator& sim, const RdmaConfig& cfg, std::uint32_t qp,
-                       SendFn send, DoneFn done)
-    : sim_(sim), cfg_(cfg), qp_(qp), send_(std::move(send)), done_cb_(std::move(done)) {}
+RdmaSender::RdmaSender(Simulator& sim, std::uint32_t qp, SendFn send,
+                       DoneFn done)
+    : sim_(sim), qp_(qp), send_(std::move(send)), done_cb_(std::move(done)) {}
 
 std::int32_t RdmaSender::pkt_payload(std::int64_t psn) const {
-  if (psn + 1 < n_pkts_) return cfg_.payload;
-  return static_cast<std::int32_t>(msg_bytes_ - (n_pkts_ - 1) * cfg_.payload);
+  if (psn + 1 < n_pkts_) return kRdmaPayload;
+  return static_cast<std::int32_t>(msg_bytes_ - (n_pkts_ - 1) * kRdmaPayload);
 }
 
 void RdmaSender::start(std::int64_t bytes) {
   assert(bytes > 0);
   msg_bytes_ = bytes;
-  n_pkts_ = (bytes + cfg_.payload - 1) / cfg_.payload;
+  n_pkts_ = (bytes + kRdmaPayload - 1) / kRdmaPayload;
   start_time_ = sim_.now();
   obs::emit(sim_.now(), obs::Cat::kTransport, obs::Kind::kFlowStart,
             obs::intern_actor("rdma"), bytes, qp_);
@@ -35,7 +35,7 @@ void RdmaSender::transmit(std::int64_t psn, bool retx) {
   p.rdma.op = net::RdmaOp::kData;
   p.rdma.psn = psn;
   p.rdma.last = (psn + 1 == n_pkts_);
-  p.frame_bytes = pkt_payload(psn) + cfg_.header_bytes;
+  p.frame_bytes = pkt_payload(psn) + kRdmaHeaderBytes;
   p.uid = static_cast<std::uint64_t>(psn);
   if (retx) {
     ++stats_.retransmissions;
@@ -46,7 +46,7 @@ void RdmaSender::transmit(std::int64_t psn, bool retx) {
 }
 
 void RdmaSender::send_window() {
-  while (snd_nxt_ < n_pkts_ && snd_nxt_ - snd_una_ < cfg_.window_pkts) {
+  while (snd_nxt_ < n_pkts_ && snd_nxt_ - snd_una_ < kRdmaWindowPkts) {
     transmit(snd_nxt_, /*retx=*/snd_nxt_ < high_water_);
     ++snd_nxt_;
     if (snd_nxt_ > high_water_) high_water_ = snd_nxt_;
@@ -80,7 +80,7 @@ void RdmaSender::arm_rto() {
     rto_deadline_ = -1;
     return;
   }
-  rto_deadline_ = sim_.now() + cfg_.rto;
+  rto_deadline_ = sim_.now() + kRdmaRto;
   schedule_rto_event(rto_deadline_);
 }
 
@@ -129,9 +129,8 @@ void RdmaSender::reset(std::uint32_t new_qp) {
   stats_ = RdmaSenderStats{};
 }
 
-RdmaReceiver::RdmaReceiver(Simulator& sim, const RdmaConfig& cfg,
-                           std::uint32_t qp, SendFn send)
-    : sim_(sim), cfg_(cfg), qp_(qp), send_(std::move(send)) {}
+RdmaReceiver::RdmaReceiver(std::uint32_t qp, SendFn send)
+    : qp_(qp), send_(std::move(send)) {}
 
 void RdmaReceiver::on_data(const net::Packet& p) {
   if (!p.rdma.valid || p.rdma.op != net::RdmaOp::kData || p.rdma.qp != qp_)

@@ -18,18 +18,17 @@
 
 namespace lgsim::transport {
 
-struct RdmaConfig {
-  /// Payload bytes per packet. 1440 reproduces the paper's "24,387 B =
-  /// 17 packets" with a 1500 B path MTU.
-  std::int32_t payload = 1440;
-  /// Eth + IP + UDP + BTH(+RETH) + ICRC + FCS overhead per frame.
-  std::int32_t header_bytes = 78;
-  /// NIC retransmission timeout (the paper measured ~1 ms on CX5/CX6).
-  SimTime rto = msec(1);
-  /// Max outstanding packets (send window). BDP at 100G/30us is ~260 MTU
-  /// packets; the NIC effectively keeps the wire full.
-  std::int64_t window_pkts = 512;
-};
+// Fixed NIC parameters (CX5/CX6, the NICs the paper's RDMA runs use).
+/// Payload bytes per packet. 1440 reproduces the paper's "24,387 B =
+/// 17 packets" with a 1500 B path MTU.
+inline constexpr std::int32_t kRdmaPayload = 1440;
+/// Eth + IP + UDP + BTH(+RETH) + ICRC + FCS overhead per frame.
+inline constexpr std::int32_t kRdmaHeaderBytes = 78;
+/// NIC retransmission timeout (the paper measured ~1 ms on CX5/CX6).
+inline constexpr SimTime kRdmaRto = msec(1);
+/// Max outstanding packets (send window). BDP at 100G/30us is ~260 MTU
+/// packets; the NIC effectively keeps the wire full.
+inline constexpr std::int64_t kRdmaWindowPkts = 512;
 
 struct RdmaSenderStats {
   std::int64_t packets_sent = 0;
@@ -43,8 +42,7 @@ class RdmaSender {
   using SendFn = std::function<void(net::Packet&&)>;
   using DoneFn = std::function<void(SimTime fct)>;
 
-  RdmaSender(Simulator& sim, const RdmaConfig& cfg, std::uint32_t qp,
-             SendFn send, DoneFn done);
+  RdmaSender(Simulator& sim, std::uint32_t qp, SendFn send, DoneFn done);
 
   /// Post one RDMA_WRITE of `bytes`; completes when the last PSN is ACKed.
   void start(std::int64_t bytes);
@@ -69,7 +67,6 @@ class RdmaSender {
   void check_done();
 
   Simulator& sim_;
-  RdmaConfig cfg_;
   std::uint32_t qp_;
   SendFn send_;
   DoneFn done_cb_;
@@ -91,8 +88,7 @@ class RdmaReceiver {
  public:
   using SendFn = std::function<void(net::Packet&&)>;
 
-  RdmaReceiver(Simulator& sim, const RdmaConfig& cfg, std::uint32_t qp,
-               SendFn send);
+  RdmaReceiver(std::uint32_t qp, SendFn send);
 
   void on_data(const net::Packet& p);
 
@@ -113,8 +109,6 @@ class RdmaReceiver {
  private:
   void send_ack(bool nack, std::int64_t psn);
 
-  Simulator& sim_;
-  RdmaConfig cfg_;
   std::uint32_t qp_;
   SendFn send_;
   std::int64_t expected_psn_ = 0;

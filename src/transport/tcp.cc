@@ -27,21 +27,20 @@ TcpSender::TcpSender(Simulator& sim, const TcpConfig& cfg, std::uint32_t flow_id
       cfg_(cfg),
       flow_id_(flow_id),
       send_(std::move(send)),
-      done_cb_(std::move(done)),
-      mss_(cfg.mss) {
+      done_cb_(std::move(done)) {
   segs_.assign(kRing, SegState::kUnsent);
   sent_at_.assign(kRing, 0);
   retx_flag_.assign(kRing / 64, 0);
 }
 
 std::int32_t TcpSender::seg_payload(std::int64_t seg) const {
-  if (seg + 1 < n_segs_) return mss_;
-  return static_cast<std::int32_t>(flow_bytes_ - (n_segs_ - 1) * mss_);
+  if (seg + 1 < n_segs_) return kTcpMss;
+  return static_cast<std::int32_t>(flow_bytes_ - (n_segs_ - 1) * kTcpMss);
 }
 
 std::int64_t TcpSender::pending_tx_bytes() const {
   if (seg_nxt_ >= n_segs_) return 0;
-  return flow_bytes_ - seg_nxt_ * mss_;
+  return flow_bytes_ - seg_nxt_ * kTcpMss;
 }
 
 std::int64_t TcpSender::inflight_bytes() const { return inflight_; }
@@ -49,11 +48,11 @@ std::int64_t TcpSender::inflight_bytes() const { return inflight_; }
 void TcpSender::start(std::int64_t bytes) {
   assert(bytes > 0);
   flow_bytes_ = bytes;
-  n_segs_ = (bytes + mss_ - 1) / mss_;
+  n_segs_ = (bytes + kTcpMss - 1) / kTcpMss;
   start_time_ = sim_.now();
   obs::emit(sim_.now(), obs::Cat::kTransport, obs::Kind::kFlowStart,
             obs::intern_actor("tcp"), bytes, flow_id_);
-  cwnd_ = cfg_.init_cwnd_segs * mss_;
+  cwnd_ = kTcpInitCwndSegs * kTcpMss;
   dctcp_window_end_ = 0;
   try_send();
   arm_timers();
@@ -64,10 +63,10 @@ void TcpSender::transmit_segment(std::int64_t seg, bool is_retx) {
   p.kind = net::PktKind::kData;
   p.tcp.valid = true;
   p.tcp.flow = flow_id_;
-  p.tcp.seq = seg * mss_;
+  p.tcp.seq = seg * kTcpMss;
   p.tcp.payload = seg_payload(seg);
   p.tcp.fin = (seg + 1 == n_segs_);
-  p.frame_bytes = p.tcp.payload + cfg_.header_bytes;
+  p.frame_bytes = p.tcp.payload + kTcpHeaderBytes;
   p.uid = static_cast<std::uint64_t>(seg);
 
   SegState& st = segs_[seg & kRingMask];
@@ -88,7 +87,7 @@ void TcpSender::transmit_segment(std::int64_t seg, bool is_retx) {
 SimTime TcpSender::pacing_interval(std::int64_t bytes) const {
   double rate;  // bytes per second
   if (bbr_filled_pipe_ && bbr_btlbw_ > 0) {
-    rate = bbr_btlbw_ * cfg_.bbr_pacing_margin;
+    rate = bbr_btlbw_ * kBbrPacingMargin;
   } else {
     // Startup: pace at 2.885x the current estimate (or an aggressive initial
     // guess from the initial window over the RTT hint).
@@ -115,14 +114,14 @@ void TcpSender::try_send() {
       }
     }
     if (seg < 0 && seg_nxt_ < n_segs_ &&
-        inflight_bytes() + mss_ <= static_cast<std::int64_t>(cwnd_)) {
+        inflight_bytes() + kTcpMss <= static_cast<std::int64_t>(cwnd_)) {
       seg = seg_nxt_++;
     }
     if (seg < 0) return;
     const bool is_retx = segs_[seg & kRingMask] == SegState::kLost;
     transmit_segment(seg, is_retx);
     pacing_armed_ = true;
-    sim_.schedule_in(pacing_interval(seg_payload(seg) + cfg_.header_bytes), [this] {
+    sim_.schedule_in(pacing_interval(seg_payload(seg) + kTcpHeaderBytes), [this] {
       pacing_armed_ = false;
       try_send();
     });
@@ -136,7 +135,7 @@ void TcpSender::send_window() {
   bool sent = true;
   while (sent) {
     sent = false;
-    if (inflight_bytes() + mss_ > static_cast<std::int64_t>(std::max(cwnd_, 1.0 * mss_)))
+    if (inflight_bytes() + kTcpMss > static_cast<std::int64_t>(std::max(cwnd_, 1.0 * kTcpMss)))
       return;
     if (lost_count_ > 0) {
       for (std::int64_t s = seg_una_; s < seg_nxt_; ++s) {
@@ -176,7 +175,7 @@ void TcpSender::on_ack(const net::Packet& ack) {
   for (int i = 0; i < ack.tcp.n_sack; ++i) {
     const auto& blk = ack.tcp.sack[i];
     stats_.ever_sacked = true;
-    for (std::int64_t b = blk.start; b < blk.end; b += mss_) {
+    for (std::int64_t b = blk.start; b < blk.end; b += kTcpMss) {
       const std::int64_t s = seg_of_byte(b);
       if (s < seg_una_ || s >= seg_nxt_) continue;
       SegState& st = segs_[s & kRingMask];
@@ -195,7 +194,7 @@ void TcpSender::on_ack(const net::Packet& ack) {
   // 2. Cumulative ACK advance. A segment is acked when every one of its
   // bytes is covered; the final segment is shorter than the MSS, so it is
   // acked exactly when the whole flow is.
-  std::int64_t ack_seg = std::min(ack.tcp.ack / mss_, n_segs_ - 1);
+  std::int64_t ack_seg = std::min(ack.tcp.ack / kTcpMss, n_segs_ - 1);
   if (ack.tcp.ack >= flow_bytes_) ack_seg = n_segs_;
   std::int64_t newly_acked = 0;
   SimTime rtt_sample = -1;
@@ -266,7 +265,7 @@ void TcpSender::detect_losses() {
       sacked_above += seg_payload(s);
       continue;
     }
-    if (st == SegState::kInflight && sacked_above >= 3 * mss_) {
+    if (st == SegState::kInflight && sacked_above >= 3 * kTcpMss) {
       // RACK-style time gate: only declare a transmission lost once it is at
       // least a smoothed RTT old (plus the adaptive reordering window once
       // the connection has seen reordering). This prevents re-marking the
@@ -280,7 +279,7 @@ void TcpSender::detect_losses() {
     }
   }
   stats_.max_sacked_bytes = std::max(stats_.max_sacked_bytes, sacked_above);
-  if (sacked_above > 2 * mss_) {
+  if (sacked_above > 2 * kTcpMss) {
     stats_.sacked_over_2mss = true;
     if (pending_tx_bytes() > 0) stats_.sacked_over_2mss_before_done = true;
   }
@@ -312,12 +311,12 @@ void TcpSender::cc_on_loss() {
   switch (cfg_.cc) {
     case TcpCc::kDctcp:
       // Packet loss (not ECN): halve like Reno.
-      ssthresh_ = std::max(cwnd_ / 2, 2.0 * mss_);
+      ssthresh_ = std::max(cwnd_ / 2, 2.0 * kTcpMss);
       cwnd_ = ssthresh_;
       break;
     case TcpCc::kCubic:
       cubic_wmax_ = cwnd_;
-      ssthresh_ = std::max(cwnd_ * cfg_.cubic_beta, 2.0 * mss_);
+      ssthresh_ = std::max(cwnd_ * kCubicBeta, 2.0 * kTcpMss);
       cwnd_ = ssthresh_;
       cubic_epoch_start_ = -1;
       break;
@@ -330,36 +329,35 @@ void TcpSender::cc_on_ack(std::int64_t newly_acked, bool any_ece) {
   if (newly_acked <= 0 && !any_ece) return;
   struct ClampGuard {
     TcpSender* s;
-    ~ClampGuard() { s->cwnd_ = std::min(s->cwnd_, s->cfg_.max_cwnd_bytes); }
+    ~ClampGuard() { s->cwnd_ = std::min(s->cwnd_, kTcpMaxCwndBytes); }
   } clamp{this};
   switch (cfg_.cc) {
     case TcpCc::kDctcp: {
-      if (cfg_.ecn_capable) {
-        dctcp_acked_ += newly_acked;
-        if (any_ece) dctcp_marked_ += std::max<std::int64_t>(newly_acked, mss_);
-        if (any_ece && !dctcp_cut_this_window_) {
-          // React once per window of data (RFC 8257 §3.3).
-          dctcp_cut_this_window_ = true;
-          cwnd_ = std::max(cwnd_ * (1.0 - dctcp_alpha_ / 2.0), 2.0 * mss_);
-          ++stats_.ecn_cwnd_reductions;
+      // DCTCP is the only ECN-capable controller.
+      dctcp_acked_ += newly_acked;
+      if (any_ece) dctcp_marked_ += std::max<std::int64_t>(newly_acked, kTcpMss);
+      if (any_ece && !dctcp_cut_this_window_) {
+        // React once per window of data (RFC 8257 §3.3).
+        dctcp_cut_this_window_ = true;
+        cwnd_ = std::max(cwnd_ * (1.0 - dctcp_alpha_ / 2.0), 2.0 * kTcpMss);
+        ++stats_.ecn_cwnd_reductions;
+      }
+      if (seg_una_ >= dctcp_window_end_) {
+        if (dctcp_acked_ > 0) {
+          const double f =
+              std::min(1.0, static_cast<double>(dctcp_marked_) /
+                                static_cast<double>(dctcp_acked_));
+          dctcp_alpha_ = (1.0 - kDctcpG) * dctcp_alpha_ + kDctcpG * f;
         }
-        if (seg_una_ >= dctcp_window_end_) {
-          if (dctcp_acked_ > 0) {
-            const double f =
-                std::min(1.0, static_cast<double>(dctcp_marked_) /
-                                  static_cast<double>(dctcp_acked_));
-            dctcp_alpha_ = (1.0 - cfg_.dctcp_g) * dctcp_alpha_ + cfg_.dctcp_g * f;
-          }
-          dctcp_acked_ = dctcp_marked_ = 0;
-          dctcp_cut_this_window_ = false;
-          dctcp_window_end_ = seg_nxt_;
-        }
+        dctcp_acked_ = dctcp_marked_ = 0;
+        dctcp_cut_this_window_ = false;
+        dctcp_window_end_ = seg_nxt_;
       }
       if (in_recovery_) break;
       if (cwnd_ < ssthresh_) {
         cwnd_ += newly_acked;  // slow start
       } else {
-        cwnd_ += static_cast<double>(mss_) * newly_acked / cwnd_;
+        cwnd_ += static_cast<double>(kTcpMss) * newly_acked / cwnd_;
       }
       break;
     }
@@ -371,10 +369,10 @@ void TcpSender::cc_on_ack(std::int64_t newly_acked, bool any_ece) {
       }
       if (cubic_epoch_start_ < 0) cubic_epoch_start_ = sim_.now();
       const double t = to_sec(sim_.now() - cubic_epoch_start_);
-      const double wmax_seg = cubic_wmax_ / mss_;
-      const double k = std::cbrt(wmax_seg * (1.0 - cfg_.cubic_beta) / cfg_.cubic_c);
-      const double target_seg = cfg_.cubic_c * std::pow(t - k, 3.0) + wmax_seg;
-      const double target = std::max(target_seg * mss_, cwnd_ + 0.01 * mss_);
+      const double wmax_seg = cubic_wmax_ / kTcpMss;
+      const double k = std::cbrt(wmax_seg * (1.0 - kCubicBeta) / kCubicC);
+      const double target_seg = kCubicC * std::pow(t - k, 3.0) + wmax_seg;
+      const double target = std::max(target_seg * kTcpMss, cwnd_ + 0.01 * kTcpMss);
       // Approach the cubic target gradually (per-ACK).
       cwnd_ += std::max(0.0, (target - cwnd_)) *
                (static_cast<double>(newly_acked) / std::max(cwnd_, 1.0));
@@ -401,7 +399,7 @@ void TcpSender::cc_on_ack(std::int64_t newly_acked, bool any_ece) {
         }
       }
       const double bdp = bbr_btlbw_ * to_sec(std::max<SimTime>(bbr_min_rtt_, usec(1)));
-      cwnd_ = std::max(2.0 * bdp, 4.0 * mss_);
+      cwnd_ = std::max(2.0 * bdp, 4.0 * kTcpMss);
       break;
     }
   }
@@ -409,7 +407,7 @@ void TcpSender::cc_on_ack(std::int64_t newly_acked, bool any_ece) {
 
 SimTime TcpSender::current_rto() const {
   const SimTime base =
-      std::max(cfg_.rto_min, have_rtt_ ? srtt_ + 4 * rttvar_ : cfg_.rto_min);
+      std::max(kTcpRtoMin, have_rtt_ ? srtt_ + 4 * rttvar_ : kTcpRtoMin);
   return base << std::min(rto_backoff_, 10);
 }
 
@@ -424,9 +422,9 @@ void TcpSender::arm_timers() {
   }
   rto_deadline_ = sim_.now() + current_rto();
   schedule_rto_event(rto_deadline_);
-  if (cfg_.tlp_enabled && !tlp_outstanding_ && !in_recovery_ && have_rtt_ &&
+  if (!tlp_outstanding_ && !in_recovery_ && have_rtt_ &&
       inflight_bytes() > 0) {
-    tlp_deadline_ = sim_.now() + std::min(2 * srtt_ + cfg_.tlp_slack, current_rto());
+    tlp_deadline_ = sim_.now() + std::min(2 * srtt_ + kTcpTlpSlack, current_rto());
     schedule_tlp_event(tlp_deadline_);
   } else {
     tlp_deadline_ = -1;
@@ -504,8 +502,8 @@ void TcpSender::on_rto_timer() {
       ++lost_count_;
     }
   }
-  ssthresh_ = std::max(cwnd_ / 2, 2.0 * mss_);
-  cwnd_ = 1.0 * mss_;
+  ssthresh_ = std::max(cwnd_ / 2, 2.0 * kTcpMss);
+  cwnd_ = 1.0 * kTcpMss;
   in_recovery_ = false;
   if (seg_una_ < seg_nxt_) {
     transmit_segment(seg_una_, /*is_retx=*/true);
@@ -566,9 +564,8 @@ void TcpSender::reset(std::uint32_t new_flow_id) {
 // Receiver
 // ---------------------------------------------------------------------------
 
-TcpReceiver::TcpReceiver(Simulator& sim, const TcpConfig& cfg,
-                         std::uint32_t flow_id, SendFn send_ack)
-    : sim_(sim), cfg_(cfg), flow_id_(flow_id), send_ack_(std::move(send_ack)) {}
+TcpReceiver::TcpReceiver(std::uint32_t flow_id, SendFn send_ack)
+    : flow_id_(flow_id), send_ack_(std::move(send_ack)) {}
 
 void TcpReceiver::on_data(const net::Packet& data) {
   if (!data.tcp.valid || data.tcp.payload <= 0) return;
@@ -604,7 +601,7 @@ void TcpReceiver::on_data(const net::Packet& data) {
 
   net::Packet ack;
   ack.kind = net::PktKind::kTransportAck;
-  ack.frame_bytes = cfg_.header_bytes;
+  ack.frame_bytes = kTcpHeaderBytes;
   ack.tcp.valid = true;
   ack.tcp.flow = flow_id_;
   ack.tcp.ack = rcv_nxt_;

@@ -29,27 +29,30 @@ namespace lgsim::transport {
 
 enum class TcpCc : std::uint8_t { kDctcp, kCubic, kBbr };
 
+// Fixed stack parameters: the testbed hosts run stock kernel TCP, so these
+// are constants of the model, not per-experiment knobs.
+inline constexpr std::int32_t kTcpMss = 1448;  // payload bytes per segment
+/// Ethernet + IP + TCP(+timestamps) + FCS bytes per frame: payload + 70
+/// gives the classic 1518 B frame for an MSS of 1448.
+inline constexpr std::int32_t kTcpHeaderBytes = 70;
+inline constexpr double kTcpInitCwndSegs = 10.0;
+inline constexpr SimTime kTcpRtoMin = msec(1);
+/// Worst-case delayed-ACK slack added to the RACK-TLP probe timeout (RFC 8985
+/// uses WCDelAckT; Linux adds 2 ms when pacing the probe).
+inline constexpr SimTime kTcpTlpSlack = msec(2);
+/// DCTCP alpha gain (kernel default 1/16).
+inline constexpr double kDctcpG = 0.0625;
+inline constexpr double kCubicC = 0.4;
+inline constexpr double kCubicBeta = 0.7;
+/// BBR steady-state pacing gain applied to the measured bottleneck rate.
+inline constexpr double kBbrPacingMargin = 1.0;
+/// Receive-window / rmem cap on the congestion window (bytes). Keeps
+/// long-running flows bounded the way kernel autotuning does.
+inline constexpr double kTcpMaxCwndBytes = 1'500'000;
+
+/// DCTCP is the only ECN-capable controller.
 struct TcpConfig {
   TcpCc cc = TcpCc::kDctcp;
-  std::int32_t mss = 1448;          // payload bytes per segment
-  /// Ethernet + IP + TCP(+timestamps) + FCS bytes per frame: payload + 70
-  /// gives the classic 1518 B frame for an MSS of 1448.
-  std::int32_t header_bytes = 70;
-  double init_cwnd_segs = 10.0;
-  SimTime rto_min = msec(1);
-  bool tlp_enabled = true;          // RACK-TLP tail-loss probe
-  /// Worst-case delayed-ACK slack added to the probe timeout (RFC 8985 uses
-  /// WCDelAckT; Linux adds 2 ms when pacing the probe).
-  SimTime tlp_slack = msec(2);
-  bool ecn_capable = false;         // DCTCP turns this on
-  double dctcp_g = 0.0625;          // DCTCP alpha gain (kernel default 1/16)
-  double cubic_c = 0.4;
-  double cubic_beta = 0.7;
-  /// BBR steady-state pacing gain applied to the measured bottleneck rate.
-  double bbr_pacing_margin = 1.0;
-  /// Receive-window / rmem cap on the congestion window (bytes). Keeps
-  /// long-running flows bounded the way kernel autotuning does.
-  double max_cwnd_bytes = 1'500'000;
 };
 
 struct TcpSenderStats {
@@ -100,7 +103,7 @@ class TcpSender {
   enum class SegState : std::uint8_t { kUnsent, kInflight, kSacked, kAcked, kLost };
 
   std::int32_t seg_payload(std::int64_t seg) const;
-  std::int64_t seg_of_byte(std::int64_t byte) const { return byte / mss_; }
+  std::int64_t seg_of_byte(std::int64_t byte) const { return byte / kTcpMss; }
   void transmit_segment(std::int64_t seg, bool is_retx);
   void try_send();
   void send_window();
@@ -128,7 +131,6 @@ class TcpSender {
 
   std::int64_t flow_bytes_ = 0;
   std::int64_t n_segs_ = 0;
-  std::int32_t mss_ = 1448;
   std::vector<SegState> segs_;      // ring-indexed per-segment state
   std::vector<SimTime> sent_at_;    // ring-indexed first/last send time
   std::vector<std::uint64_t> retx_flag_;  // ring-indexed bitmap (Karn)
@@ -198,8 +200,7 @@ class TcpReceiver {
  public:
   using SendFn = std::function<void(net::Packet&&)>;
 
-  TcpReceiver(Simulator& sim, const TcpConfig& cfg, std::uint32_t flow_id,
-              SendFn send_ack);
+  TcpReceiver(std::uint32_t flow_id, SendFn send_ack);
 
   void on_data(const net::Packet& data);
 
@@ -217,8 +218,6 @@ class TcpReceiver {
   std::int64_t out_of_order_segments() const { return ooo_segments_; }
 
  private:
-  Simulator& sim_;
-  TcpConfig cfg_;
   std::uint32_t flow_id_;
   SendFn send_ack_;
   std::int64_t rcv_nxt_ = 0;                 // next expected byte

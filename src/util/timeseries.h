@@ -59,40 +59,4 @@ class TimeSeries {
   std::vector<Sample> samples_;
 };
 
-/// Turns a monotone byte counter into a rate time-series by windowed sampling.
-class RateMeter {
- public:
-  explicit RateMeter(SimTime window) : window_(window) {}
-
-  /// Accumulate `bytes` delivered at time `now`; emits one sample per window.
-  void on_bytes(SimTime now, std::int64_t bytes) {
-    if (window_start_ < 0) window_start_ = now;
-    while (now >= window_start_ + window_) {
-      flush_window();
-    }
-    bytes_in_window_ += bytes;
-  }
-
-  /// Close out any partial window (call at end of experiment).
-  void finish(SimTime now) {
-    if (window_start_ >= 0 && now > window_start_) flush_window();
-  }
-
-  const TimeSeries& series() const { return series_; }
-
- private:
-  void flush_window() {
-    const double gbit_per_s =
-        static_cast<double>(bytes_in_window_) * 8.0 / static_cast<double>(window_);
-    series_.record(window_start_ + window_, gbit_per_s);  // Gbps since ns cancels
-    window_start_ += window_;
-    bytes_in_window_ = 0;
-  }
-
-  SimTime window_;
-  SimTime window_start_ = -1;
-  std::int64_t bytes_in_window_ = 0;
-  TimeSeries series_;
-};
-
 }  // namespace lgsim

@@ -14,9 +14,9 @@
 #include "fault/lifecycle.h"
 #include "fault/scenarios.h"
 #include "fault/script.h"
+#include "harness/parallel.h"
 #include "monitor/corruptd.h"
 #include "net/loss_model.h"
-#include "phy/optical.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 
@@ -196,42 +196,6 @@ TEST(FaultInjector, GilbertEpisodeAppliesThenRestoresSavedParams) {
   EXPECT_EQ(inj.stats().applied, 2);  // apply + restore are both logged
 }
 
-TEST(FaultInjector, AttenStepReAimsLossThroughThePhyChain) {
-  Simulator sim;
-  net::BernoulliLoss loss(0.0, Rng(1));
-  const phy::Transceiver xcvr = phy::make_25g_sr_nofec();
-  FaultScript s;
-  s.atten_step(usec(5), "voa", 14.0);
-  FaultInjector inj(sim, std::move(s));
-  inj.add_attenuator("voa", {xcvr, &loss, 1518});
-  inj.arm();
-  sim.run();
-  EXPECT_DOUBLE_EQ(loss.driven_rate(), xcvr.frame_loss_rate(14.0, 1518));
-  EXPECT_GT(loss.driven_rate(), 0.0);
-}
-
-TEST(AttenuationProfile, DbAtInterpolatesBetweenKnotsAndClampsOutside) {
-  phy::AttenuationProfile prof;
-  prof.hold(usec(10), 8.0).ramp_to(usec(20), 12.0);
-  EXPECT_DOUBLE_EQ(prof.db_at(0), 8.0);         // before first knot: hold
-  EXPECT_DOUBLE_EQ(prof.db_at(usec(15)), 10.0); // linear midpoint
-  EXPECT_DOUBLE_EQ(prof.db_at(usec(30)), 12.0); // after last knot: hold
-}
-
-TEST(AttenuationProfile, AppendSamplesProfileIntoAttenSteps) {
-  phy::AttenuationProfile prof;
-  prof.hold(0, 8.0).ramp_to(usec(10), 12.0);
-  FaultScript s;
-  append_attenuation_profile(s, "voa", prof, usec(5));
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.events()[0].at, 0);
-  EXPECT_DOUBLE_EQ(s.events()[0].a, 8.0);
-  EXPECT_EQ(s.events()[1].at, usec(5));
-  EXPECT_DOUBLE_EQ(s.events()[1].a, 10.0);
-  EXPECT_EQ(s.events()[2].at, usec(10));
-  EXPECT_DOUBLE_EQ(s.events()[2].a, 12.0);
-}
-
 TEST(PubSubBus, DeferredDeliveryHonoursHopPlusInjectedDelay) {
   Simulator sim;
   monitor::PubSubBus bus;
@@ -365,7 +329,7 @@ TEST(Lifecycle, OnsetScenarioEngagesAndMasksEveryLossAfterProtection) {
   ASSERT_GE(r.detected_at, 0);
   ASSERT_GE(r.engaged_at, 0);
   EXPECT_GE(r.detected_at, r.onset_at);
-  EXPECT_GE(r.engaged_at, r.detected_at + cfg.bus_delay);
+  EXPECT_GE(r.engaged_at, r.detected_at + kNotifyBusDelay);
   EXPECT_EQ(r.detection_latency, r.detected_at - r.onset_at);
   EXPECT_GT(r.retx_copies, 1);
 
@@ -412,7 +376,8 @@ TEST(Lifecycle, GridResultsMatchDirectRuns) {
     cfg.seed = seed;
     grid.push_back(cfg);
   }
-  const std::vector<LifecycleResult> got = run_lifecycle_grid(grid);
+  const std::vector<LifecycleResult> got =
+      harness::run_grid(grid, run_lifecycle);
   ASSERT_EQ(got.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const LifecycleResult direct = run_lifecycle(grid[i]);

@@ -194,6 +194,16 @@ TEST(Timeline, LgRestoresThroughputAfterCorruption) {
   EXPECT_GT(after, before * 0.9);  // LinkGuardian restores it
 }
 
+TEST(Timeline, RejectsRdmaTransport) {
+  // The timeline drives one TCP flow: RDMA must be rejected, not run as
+  // some TCP variant.
+  TimelineConfig c;
+  c.transport = Transport::kRdmaWrite;
+  EXPECT_THROW(run_timeline(c), std::invalid_argument);
+  EXPECT_THROW(tcp_config(Transport::kRdmaWrite), std::invalid_argument);
+  EXPECT_EQ(tcp_config(Transport::kCubic).cc, transport::TcpCc::kCubic);
+}
+
 TEST(Timeline, NoBackpressureOverflowsReorderBuffer) {
   // Fig. 9b: without pause/resume the reordering backlog grows to the
   // recovery-stall equilibrium (~ackNoTimeout x line rate) and overflows the

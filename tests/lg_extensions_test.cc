@@ -167,9 +167,9 @@ TEST(LiveModeSwitch, HandoffResumeSurvivesReverseCorruption) {
       switched = true;
       return;
     }
-    h.sim.schedule_in(h.cfg.timer_period, [&] { poll(); });
+    h.sim.schedule_in(lg::kTimerPeriod, [&] { poll(); });
   };
-  h.sim.schedule_in(h.cfg.timer_period, [&] { poll(); });
+  h.sim.schedule_in(lg::kTimerPeriod, [&] { poll(); });
   h.sim.run();
 
   ASSERT_TRUE(switched);

@@ -1,5 +1,5 @@
-// Tests for the Switch abstraction, the PHY-driven attenuation loss model
-// and the time-varying loss process.
+// Tests for the Switch abstraction, the scripted loss cursor and mid-run
+// loss-model mutation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,7 +7,6 @@
 
 #include "net/loss_model.h"
 #include "net/switch.h"
-#include "phy/attenuation_loss.h"
 #include "sim/simulator.h"
 
 namespace lgsim {
@@ -86,79 +85,6 @@ TEST(Switch, EgressOverrideIntercepts) {
   EXPECT_EQ(intercepted, 1);
 }
 
-TEST(AttenuationLoss, LossRateMatchesPhyModel) {
-  auto xcvr = phy::make_25g_sr_nofec();
-  // Pick an attenuation where the loss is ~1e-2 for MTU frames.
-  double atten = 0;
-  for (double a = 9.0; a <= 20.0; a += 0.01) {
-    if (xcvr.frame_loss_rate(a, 1518) >= 1e-2) {
-      atten = a;
-      break;
-    }
-  }
-  ASSERT_GT(atten, 0);
-  phy::AttenuationLoss loss(xcvr, atten, Rng(3));
-  const double expect = xcvr.frame_loss_rate(atten, 1518);
-  net::Packet p;
-  p.frame_bytes = 1518;
-  int lost = 0;
-  const int n = 300'000;
-  for (int i = 0; i < n; ++i)
-    if (loss.lose(0, p)) ++lost;
-  EXPECT_NEAR(static_cast<double>(lost) / n, expect, expect * 0.15);
-}
-
-TEST(AttenuationLoss, SmallerFramesSurviveBetter) {
-  auto xcvr = phy::make_25g_sr_nofec();
-  phy::AttenuationLoss loss(xcvr, 14.0, Rng(5));
-  EXPECT_LT(loss.loss_for_size(64), loss.loss_for_size(1518));
-}
-
-TEST(AttenuationLoss, ReaimingTheVoaChangesRates) {
-  auto xcvr = phy::make_25g_sr_nofec();
-  phy::AttenuationLoss loss(xcvr, 10.0, Rng(5));
-  const double before = loss.loss_for_size(1518);
-  loss.set_attenuation(15.0);
-  EXPECT_GT(loss.loss_for_size(1518), before);
-}
-
-TEST(TimeVaryingLoss, SegmentsApplyInOrder) {
-  net::TimeVaryingLoss loss({{usec(10), 1.0}, {usec(20), 0.0}}, Rng(1));
-  net::Packet p;
-  EXPECT_FALSE(loss.lose(usec(5), p));   // before onset: rate 0
-  EXPECT_TRUE(loss.lose(usec(15), p));   // rate 1
-  EXPECT_FALSE(loss.lose(usec(25), p));  // repaired
-  EXPECT_DOUBLE_EQ(loss.rate_at(usec(15)), 1.0);
-  EXPECT_DOUBLE_EQ(loss.rate_at(usec(25)), 0.0);
-}
-
-TEST(TimeVaryingLoss, CursorResetsWhenTimeMovesBackwards) {
-  // The monotone segment cursor must fall back to a rescan when a fresh
-  // replay drives the same model with earlier timestamps.
-  net::TimeVaryingLoss loss({{usec(10), 1.0}, {usec(20), 0.0}}, Rng(1));
-  net::Packet p;
-  EXPECT_FALSE(loss.lose(usec(25), p));  // cursor past both segments
-  EXPECT_TRUE(loss.lose(usec(15), p));   // time went backwards: rate 1 again
-  EXPECT_FALSE(loss.lose(usec(5), p));   // and before onset: rate 0
-  EXPECT_TRUE(loss.lose(usec(12), p));
-}
-
-TEST(TimeVaryingLoss, ManySegmentsResolveToTheRightRate) {
-  // Deterministic rates (0/1) across a long segment list exercise the cursor
-  // advancing over several segments in one call.
-  std::vector<net::TimeVaryingLoss::Segment> segs;
-  for (int i = 0; i < 100; ++i)
-    segs.push_back({usec(10 * (i + 1)), i % 2 == 0 ? 1.0 : 0.0});
-  net::TimeVaryingLoss loss(std::move(segs), Rng(2));
-  net::Packet p;
-  EXPECT_FALSE(loss.lose(usec(5), p));
-  EXPECT_TRUE(loss.lose(usec(10), p));    // segment 0: rate 1
-  EXPECT_FALSE(loss.lose(usec(25), p));   // segment 1: rate 0
-  EXPECT_TRUE(loss.lose(usec(310), p));   // segment 30: rate 1
-  EXPECT_FALSE(loss.lose(usec(2000), p)); // past the end: last seg rate 0
-  EXPECT_DOUBLE_EQ(loss.rate_at(usec(310)), 1.0);
-}
-
 TEST(ScriptedLoss, CursorHandlesUnsortedAndDuplicateIndices) {
   // Construction sorts the script, and each frame advances the cursor in
   // O(1) amortized; unsorted input with duplicates must still drop exactly
@@ -170,16 +96,6 @@ TEST(ScriptedLoss, CursorHandlesUnsortedAndDuplicateIndices) {
     if (loss.lose(0, p)) lost.push_back(i);
   EXPECT_EQ(lost, (std::vector<int>{2, 5, 7}));
   EXPECT_EQ(loss.frames_seen(), 10u);
-}
-
-TEST(TimeVaryingLoss, StatisticalRate) {
-  net::TimeVaryingLoss loss({{0, 0.02}}, Rng(9));
-  net::Packet p;
-  int lost = 0;
-  const int n = 500'000;
-  for (int i = 0; i < n; ++i)
-    if (loss.lose(usec(1), p)) ++lost;
-  EXPECT_NEAR(static_cast<double>(lost) / n, 0.02, 0.002);
 }
 
 // Mid-run loss-model mutation through the full EgressPort datapath: the

@@ -25,11 +25,11 @@
 
 #include "fault/lifecycle.h"
 #include "fault/scenarios.h"
+#include "harness/parallel.h"
 #include "lg/link.h"
 #include "net/loss_model.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "telemetry/drops.h"
 #include "telemetry/estimator.h"
 #include "telemetry/probe.h"
 
@@ -355,39 +355,6 @@ TEST(LinkProber, StallFreezesSequenceAndSuppressedCountsFires) {
     EXPECT_EQ(seqs[i], static_cast<std::uint16_t>(seqs[i - 1] + 1));
 }
 
-TEST(DropAggregation, SeparatesCongestionFromWireLoss) {
-  Simulator sim;
-  Rng rng(7);
-  net::EgressPort port(sim, "agg", gbps(25), /*prop_delay=*/0);
-  const int q = port.add_queue({.byte_limit = 1518 * 10});
-  net::BernoulliLoss loss(0.5, rng.split());
-  port.set_loss_model(&loss);
-  std::int64_t arrived = 0;
-  port.set_deliver([&](net::Packet&&) { ++arrived; });
-
-  auto frame = [] {
-    net::Packet p;
-    p.frame_bytes = 1518;
-    return p;
-  };
-  // Burst at t=0: 100 frames into a 10-frame queue -> known tail drops.
-  for (int i = 0; i < 100; ++i) port.enqueue(q, frame());
-  // Then paced injection against an idle queue -> zero congestion drops,
-  // pure wire loss at the Bernoulli rate.
-  for (int i = 0; i < 1000; ++i)
-    sim.schedule_at(usec(100) + i * usec(1), [&, q] { port.enqueue(q, frame()); });
-  sim.run(msec(10));
-
-  const DropReport r = aggregate_drops(port);
-  EXPECT_GT(r.congestion_drops, 0);         // the burst tail
-  EXPECT_GT(r.wire_corrupted, 0);           // the Bernoulli losses
-  EXPECT_EQ(r.delivered, arrived);
-  EXPECT_EQ(r.enq_frames, 1100 - r.congestion_drops);
-  EXPECT_EQ(r.deq_frames, r.delivered + r.wire_corrupted);
-  EXPECT_EQ(r.in_flight(), 0);              // fully drained
-  EXPECT_NEAR(r.wire_loss_rate(), 0.5, 0.07);
-}
-
 // ------------------------------------------------- differential catalogue --
 
 fault::LifecycleConfig estimator_cfg(const std::string& scenario,
@@ -467,8 +434,8 @@ TEST(Differential, EstimatorGridIsDeterministicThroughRunGrid) {
     }
     return os.str();
   };
-  const auto a = fault::run_lifecycle_grid(grid);
-  const auto b = fault::run_lifecycle_grid(grid);
+  const auto a = harness::run_grid(grid, fault::run_lifecycle);
+  const auto b = harness::run_grid(grid, fault::run_lifecycle);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
 }
 

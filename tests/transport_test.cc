@@ -32,7 +32,6 @@ struct TcpFixture {
       pc.link.ecn_threshold_bytes = 100'000;
     }
     cfg.cc = cc;
-    cfg.ecn_capable = (cc == TcpCc::kDctcp);
   }
 
   void build(bool enable_lg) {
@@ -41,7 +40,7 @@ struct TcpFixture {
         sim, cfg, 1, [this](net::Packet&& p) { path->send_from_a(std::move(p)); },
         [this](SimTime t) { fct = t; });
     rcv = std::make_unique<TcpReceiver>(
-        sim, cfg, 1, [this](net::Packet&& p) { path->send_from_b(std::move(p)); });
+        1, [this](net::Packet&& p) { path->send_from_b(std::move(p)); });
     path->set_sink_at_b([this](net::Packet&& p) { rcv->on_data(p); });
     path->set_sink_at_a([this](net::Packet&& p) { snd->on_ack(p); });
     if (enable_lg) path->link().enable_lg();
@@ -199,7 +198,6 @@ struct RdmaFixture {
   std::unique_ptr<TestbedPath> path;
   std::unique_ptr<RdmaSender> snd;
   std::unique_ptr<RdmaReceiver> rcv;
-  RdmaConfig cfg;
   SimTime fct = -1;
 
   RdmaFixture() {
@@ -212,10 +210,10 @@ struct RdmaFixture {
   void build(bool enable_lg) {
     path = std::make_unique<TestbedPath>(sim, pc);
     snd = std::make_unique<RdmaSender>(
-        sim, cfg, 7, [this](net::Packet&& p) { path->send_from_a(std::move(p)); },
+        sim, 7, [this](net::Packet&& p) { path->send_from_a(std::move(p)); },
         [this](SimTime t) { fct = t; });
     rcv = std::make_unique<RdmaReceiver>(
-        sim, cfg, 7, [this](net::Packet&& p) { path->send_from_b(std::move(p)); });
+        7, [this](net::Packet&& p) { path->send_from_b(std::move(p)); });
     path->set_sink_at_b([this](net::Packet&& p) { rcv->on_data(p); });
     path->set_sink_at_a([this](net::Packet&& p) { snd->on_transport(p); });
     if (enable_lg) path->link().enable_lg();

@@ -123,18 +123,6 @@ TEST(TimeSeries, WindowQueries) {
   EXPECT_DOUBLE_EQ(ts.mean_in(100, 200), 0.0);
 }
 
-TEST(RateMeter, ComputesGbps) {
-  RateMeter m(usec(1));
-  // 12500 bytes in 1 us at a steady clip = 100 Gbps.
-  m.on_bytes(0, 6250);
-  m.on_bytes(nsec(500), 6250);
-  m.on_bytes(usec(1), 1250);  // next window
-  m.finish(usec(2));
-  ASSERT_GE(m.series().size(), 2u);
-  EXPECT_DOUBLE_EQ(m.series().samples()[0].value, 100.0);
-  EXPECT_DOUBLE_EQ(m.series().samples()[1].value, 10.0);
-}
-
 TEST(EnvParse, PositiveDoubleAcceptsNormalValues) {
   EXPECT_DOUBLE_EQ(parse_positive_double("0.1", 1.0), 0.1);
   EXPECT_DOUBLE_EQ(parse_positive_double("10", 1.0), 10.0);
