@@ -16,13 +16,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "fault/injector.h"
-#include "fault/scenarios.h"
+#include "bench_goodput.h"
 #include "util/table.h"
 
 namespace {
@@ -33,91 +32,9 @@ constexpr bench::Scheme kSchemes[] = {
     bench::Scheme::kNone, bench::Scheme::kWharf,      bench::Scheme::kRifl,
     bench::Scheme::kOnePlusOne, bench::Scheme::kLg,   bench::Scheme::kLgNb};
 
-/// One fault-catalogue measurement: every scheme is provisioned at design
-/// time for the canonical onset rate (1e-3, what the catalogue's steady
-/// faults drive), starts on a healthy link, and the scenario script drives
-/// the raw Gilbert-Elliott process buried inside the scheme's residual
-/// model. Goodput is measured over the scenario's whole horizon (healthy
-/// lead-in, fault, recovery).
-struct FaultCell {
-  bench::Scheme scheme = bench::Scheme::kNone;
-  std::string scenario;
-};
-
+/// Fault-catalogue cells provision every scheme at design time for the
+/// canonical onset rate (1e-3, what the catalogue's steady faults drive).
 constexpr double kFaultProvisionRate = 1e-3;
-
-double run_fault_goodput(const FaultCell& cell) {
-  const fault::Scenario sc = fault::make_scenario(cell.scenario);
-
-  Simulator sim;
-  transport::PathConfig pc;
-  pc.rate = gbps(10);
-  pc.host_delay = usec(12);
-  pc.link.rate = gbps(10);
-  pc.link.normal_queue_bytes = 600'000;
-  pc.lg = lg::tuned_for_rate(pc.lg, pc.rate);
-  pc.lg.actual_loss_rate = kFaultProvisionRate;
-  pc.lg.preserve_order = (cell.scheme != bench::Scheme::kLgNb);
-
-  net::LossSpec provision;
-  provision.kind = net::LossSpec::Kind::kGilbertElliott;
-  provision.rate = kFaultProvisionRate;
-  provision.mean_burst = 4.0;
-
-  const std::unique_ptr<net::ProtectionScheme> scheme =
-      bench::make_scheme(cell.scheme);
-  pc = transport::with_protection(pc, *scheme, provision);
-
-  transport::TestbedPath path(sim, pc);
-  // The link starts healthy: the residual is built around a rate-0 GE
-  // process whose drivable handle the scenario script then re-aims.
-  net::LossSpec raw = provision;
-  raw.rate = 0.0;
-  net::ResidualLoss residual = scheme->residual(raw);
-  net::DrivableLoss* handle = residual.raw;
-  path.link().set_loss_model(std::move(residual.model));
-  if (cell.scheme == bench::Scheme::kLg || cell.scheme == bench::Scheme::kLgNb)
-    path.link().enable_lg();
-
-  fault::FaultInjector injector(sim, sc.script);
-  injector.add_link(fault::kLinkTarget, handle);
-  injector.arm();  // bus/monitor/probe targets stay unbound: dataplane cell
-
-  transport::TcpSender snd(
-      sim, {transport::TcpCc::kCubic}, 1,
-      [&](net::Packet&& p) { path.send_from_a(std::move(p)); }, [](SimTime) {});
-  transport::TcpReceiver rcv(
-      1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
-  std::int64_t delivered = 0;
-  path.set_sink_at_b([&](net::Packet&& p) {
-    delivered += p.tcp.payload;
-    rcv.on_data(p);
-  });
-  path.set_sink_at_a([&](net::Packet&& p) { snd.on_ack(p); });
-  snd.start(1'000'000'000'000LL);
-
-  sim.run(sc.horizon);
-  return static_cast<double>(delivered) * 8.0 /
-         static_cast<double>(sc.horizon);  // Gbps over the scenario
-}
-
-/// Tagged cell so the whole bench shares one worker pool (and one
-/// deterministic grid order) across its three sections.
-struct Cell {
-  enum class Kind { kGrid, kFault };
-  Kind kind = Kind::kGrid;
-  bench::GoodputCell grid;
-  FaultCell fault;
-};
-
-struct JsonRow {
-  std::string section;
-  std::string scheme;
-  std::string detail;  // loss kind + rate, or scenario name
-  double rate = 0.0;
-  double goodput = 0.0;
-  double capacity_x = 0.0;
-};
 
 std::string rate_label(double r) {
   if (r == 0.0) return "0";
@@ -131,6 +48,7 @@ std::string rate_label(double r) {
 int main(int argc, char** argv) {
   lgsim::bench::TraceSession trace_session(argc, argv);
   using namespace lgsim;
+  using K = net::LossSpec::Kind;
 
   bool smoke = false;
   const char* json_path = nullptr;
@@ -154,39 +72,29 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::string>{"onset", "flap-storm"}
             : fault::scenario_names();
 
-  std::vector<Cell> grid;
-  auto add_grid = [&](bench::Scheme s, net::LossSpec::Kind kind, double rate) {
-    Cell c;
-    c.kind = Cell::Kind::kGrid;
-    c.grid.scheme = s;
-    c.grid.loss.kind = kind;
-    c.grid.loss.rate = rate;
-    c.grid.loss.mean_burst = 4.0;
-    c.grid.duration = duration;
+  std::vector<bench::GoodputCell> grid;
+  auto add = [&](bench::Scheme s, K kind, double rate,
+                 const std::string& scenario) {
+    bench::GoodputCell c;
+    c.scheme = s;
+    c.loss.kind = kind;
+    c.loss.rate = rate;
+    c.loss.mean_burst = 4.0;
+    c.duration = duration;
+    c.scenario = scenario;
     grid.push_back(c);
   };
 
   for (bench::Scheme s : kSchemes)
-    for (double l : bern_losses) add_grid(s, net::LossSpec::Kind::kBernoulli, l);
+    for (double l : bern_losses) add(s, K::kBernoulli, l, "");
   for (bench::Scheme s : kSchemes)
-    for (double l : ge_losses)
-      add_grid(s, net::LossSpec::Kind::kGilbertElliott, l);
-  for (const std::string& sc : scenarios) {
-    for (bench::Scheme s : kSchemes) {
-      Cell c;
-      c.kind = Cell::Kind::kFault;
-      c.fault.scheme = s;
-      c.fault.scenario = sc;
-      grid.push_back(c);
-    }
-  }
+    for (double l : ge_losses) add(s, K::kGilbertElliott, l, "");
+  for (const std::string& sc : scenarios)
+    for (bench::Scheme s : kSchemes)
+      add(s, K::kGilbertElliott, kFaultProvisionRate, sc);
 
   const std::vector<double> results =
-      harness::run_grid(grid, [](const Cell& c) {
-        return c.kind == Cell::Kind::kGrid ? bench::run_goodput(c.grid)
-                                           : run_fault_goodput(c.fault);
-      });
-  std::vector<JsonRow> rows;
+      harness::run_grid(grid, bench::run_goodput);
   std::size_t next = 0;
 
   // Capacity accounting: what each scheme costs before any loss happens.
@@ -207,35 +115,22 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  auto print_grid = [&](const char* title, net::LossSpec::Kind kind,
-                        const std::vector<double>& losses) {
+  auto print_grid = [&](const char* title, const std::vector<double>& losses) {
     std::printf("\n%s\n", title);
     std::vector<std::string> header{"Loss rate ->"};
     for (double l : losses) header.push_back(rate_label(l));
     TablePrinter t(header);
     for (bench::Scheme s : kSchemes) {
       std::vector<std::string> cells{bench::scheme_name(s)};
-      for (double l : losses) {
-        const double g = results[next++];
-        cells.push_back(TablePrinter::fmt(g, 2));
-        net::LossSpec at;
-        at.kind = kind;
-        at.rate = l;
-        at.mean_burst = 4.0;
-        rows.push_back(JsonRow{
-            kind == net::LossSpec::Kind::kBernoulli ? "bernoulli" : "gilbert",
-            bench::scheme_name(s), at.kind_name(), l, g,
-            bench::make_scheme(s)->provisioned_capacity_x(at)});
-      }
+      for (std::size_t i = 0; i < losses.size(); ++i)
+        cells.push_back(TablePrinter::fmt(results[next++], 2));
       t.add_row(cells);
     }
     t.print();
   };
 
-  print_grid("Bernoulli (i.i.d.) corruption:",
-             net::LossSpec::Kind::kBernoulli, bern_losses);
-  print_grid("Gilbert-Elliott corruption (mean burst 4 frames):",
-             net::LossSpec::Kind::kGilbertElliott, ge_losses);
+  print_grid("Bernoulli (i.i.d.) corruption:", bern_losses);
+  print_grid("Gilbert-Elliott corruption (mean burst 4 frames):", ge_losses);
 
   // Fault-catalogue scenarios: goodput over each scenario's whole horizon.
   {
@@ -246,15 +141,8 @@ int main(int argc, char** argv) {
     TablePrinter t(header);
     for (const std::string& sc : scenarios) {
       std::vector<std::string> cells{sc};
-      for (bench::Scheme s : kSchemes) {
-        const double g = results[next++];
-        cells.push_back(TablePrinter::fmt(g, 2));
-        net::LossSpec at;
-        at.rate = kFaultProvisionRate;
-        rows.push_back(JsonRow{"fault", bench::scheme_name(s), sc,
-                               kFaultProvisionRate, g,
-                               bench::make_scheme(s)->provisioned_capacity_x(at)});
-      }
+      for (std::size_t i = 0; i < std::size(kSchemes); ++i)
+        cells.push_back(TablePrinter::fmt(results[next++], 2));
       t.add_row(cells);
     }
     t.print();
@@ -266,46 +154,43 @@ int main(int argc, char** argv) {
       "BER; 1+1 masks everything its second path doesn't lose, at 2x "
       "provisioning; LinkGuardian pays only when losses happen.\n");
 
+  // One JSON row per cell, in grid order (the order the tables print).
   if (json_path != nullptr) {
     std::ofstream os(json_path, std::ios::binary);
     os << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const JsonRow& r = rows[i];
-      os << "  {\"section\": \"" << r.section << "\", \"scheme\": \""
-         << r.scheme << "\", \"detail\": \"" << r.detail
-         << "\", \"rate\": " << r.rate << ", \"goodput_gbps\": " << r.goodput
-         << ", \"provisioned_capacity_x\": " << r.capacity_x << "}"
-         << (i + 1 < rows.size() ? ",\n" : "\n");
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const bench::GoodputCell& c = grid[i];
+      const bool scripted = !c.scenario.empty();
+      const char* section = scripted                        ? "fault"
+                            : c.loss.kind == K::kBernoulli ? "bernoulli"
+                                                           : "gilbert";
+      os << "  {\"section\": \"" << section << "\", \"scheme\": \""
+         << bench::scheme_name(c.scheme) << "\", \"detail\": \""
+         << (scripted ? c.scenario.c_str() : c.loss.kind_name())
+         << "\", \"rate\": " << c.loss.rate
+         << ", \"goodput_gbps\": " << results[i]
+         << ", \"provisioned_capacity_x\": "
+         << bench::make_scheme(c.scheme)->provisioned_capacity_x(c.loss) << "}"
+         << (i + 1 < grid.size() ? ",\n" : "\n");
     }
     os << "]\n";
     std::fprintf(stderr, "bench_json: wrote %s (%zu rows)\n", json_path,
-                 rows.size());
+                 grid.size());
   }
 
   if (!smoke) return 0;
 
   // Smoke assertions: the ordering relations the schemes exist to show.
   // Cells are deterministic, so fixed margins are safe under sanitizers too.
-  auto grid_at = [&](bench::Scheme s, net::LossSpec::Kind kind, double rate) {
-    std::size_t idx = 0;
-    for (bench::Scheme sc : kSchemes) {
-      for (double l : bern_losses) {
-        if (sc == s && kind == net::LossSpec::Kind::kBernoulli && l == rate)
-          return results[idx];
-        ++idx;
-      }
-    }
-    for (bench::Scheme sc : kSchemes) {
-      for (double l : ge_losses) {
-        if (sc == s && kind == net::LossSpec::Kind::kGilbertElliott &&
-            l == rate)
-          return results[idx];
-        ++idx;
-      }
+  auto bernoulli_at = [&](bench::Scheme s, double rate) {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const bench::GoodputCell& c = grid[i];
+      if (c.scenario.empty() && c.scheme == s &&
+          c.loss.kind == K::kBernoulli && c.loss.rate == rate)
+        return results[i];
     }
     return -1.0;
   };
-  using K = net::LossSpec::Kind;
   int failures = 0;
   auto expect = [&](bool ok, const char* what) {
     if (!ok) {
@@ -315,20 +200,20 @@ int main(int argc, char** argv) {
   };
   for (std::size_t i = 0; i < results.size(); ++i)
     expect(results[i] > 0.05, "every cell moves traffic");
-  expect(grid_at(bench::Scheme::kLg, K::kBernoulli, 0.0) >
-             grid_at(bench::Scheme::kNone, K::kBernoulli, 0.0) - 0.2,
+  expect(bernoulli_at(bench::Scheme::kLg, 0.0) >
+             bernoulli_at(bench::Scheme::kNone, 0.0) - 0.2,
          "LG tracks the unprotected healthy link");
-  expect(grid_at(bench::Scheme::kWharf, K::kBernoulli, 1e-2) <
-             grid_at(bench::Scheme::kWharf, K::kBernoulli, 1e-3),
+  expect(bernoulli_at(bench::Scheme::kWharf, 1e-2) <
+             bernoulli_at(bench::Scheme::kWharf, 1e-3),
          "Wharf falls off its FEC cliff at 1e-2");
-  expect(grid_at(bench::Scheme::kWharf, K::kBernoulli, 1e-2) <
-             grid_at(bench::Scheme::kRifl, K::kBernoulli, 1e-2),
+  expect(bernoulli_at(bench::Scheme::kWharf, 1e-2) <
+             bernoulli_at(bench::Scheme::kRifl, 1e-2),
          "RIFL beats Wharf past the FEC cliff");
-  expect(grid_at(bench::Scheme::kRifl, K::kBernoulli, 1e-2) >
-             grid_at(bench::Scheme::kNone, K::kBernoulli, 1e-2),
+  expect(bernoulli_at(bench::Scheme::kRifl, 1e-2) >
+             bernoulli_at(bench::Scheme::kNone, 1e-2),
          "RIFL beats no protection at high BER");
-  expect(grid_at(bench::Scheme::kOnePlusOne, K::kBernoulli, 1e-2) >
-             grid_at(bench::Scheme::kNone, K::kBernoulli, 0.0) - 0.5,
+  expect(bernoulli_at(bench::Scheme::kOnePlusOne, 1e-2) >
+             bernoulli_at(bench::Scheme::kNone, 0.0) - 0.5,
          "1+1 masks a lossy working path at near-healthy goodput");
   std::printf("\nSUMMARY: %s (%d assertion failures)\n",
               failures == 0 ? "PASS" : "FAIL", failures);

@@ -13,19 +13,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness/fct.h"
 #include "harness/parallel.h"
-#include "lg/config.h"
-#include "net/protection.h"
 #include "obs/chrome_trace.h"
 #include "obs/trace.h"
-#include "protect/protect.h"
-#include "rifl/rifl.h"
-#include "transport/path.h"
-#include "transport/tcp.h"
 #include "util/env.h"
-#include "wharf/wharf.h"
 
 namespace lgsim::bench {
 
@@ -104,13 +98,12 @@ class TraceSession {
 
 // ---------------------------------------------------------------------------
 // Flow-launch / FCT-collection scaffolding, shared by the testbed FCT benches
-// (bench_fig10/11/12) and the fabric traffic engine's bench_traffic. One
-// TrafficConfig describes a transportxprotection sweep over one flow size;
-// fct_grid() expands it into the harness::FctConfig grid in transport-major
-// order. The seed strides reproduce each figure's historical per-cell seeds
-// exactly (fig10: base 1000, protection stride 1; fig11: base 2000, strides
-// 7/31; fig12: base 3000), so extracting the scaffolding changed no output
-// byte.
+// (bench_fig10/11/12). One TrafficConfig describes a transportxprotection
+// sweep over one flow size; fct_grid() expands it into the
+// harness::FctConfig grid in transport-major order. The seed strides
+// reproduce each figure's historical per-cell seeds exactly (fig10: base
+// 1000, protection stride 1; fig11: base 2000, strides 7/31; fig12: base
+// 3000), so extracting the scaffolding changed no output byte.
 // ---------------------------------------------------------------------------
 
 struct TrafficConfig {
@@ -150,101 +143,6 @@ inline std::vector<harness::FctConfig> fct_grid(const TrafficConfig& tc) {
     }
   }
   return grid;
-}
-
-// ---------------------------------------------------------------------------
-// Protection-scheme goodput scaffolding, shared by bench_tab3_wharf (the
-// paper's Table 3) and bench_baselines (the four-scheme comparison sweep).
-// ---------------------------------------------------------------------------
-
-/// The schemes the comparison sweeps cover. kNone/kLg/kLgNb use an
-/// Unprotected link model (LinkGuardian's machinery lives in the link itself
-/// and is switched on with enable_lg, not modelled as a residual process).
-enum class Scheme { kNone, kWharf, kRifl, kOnePlusOne, kLg, kLgNb };
-
-inline const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kNone: return "None";
-    case Scheme::kWharf: return "Wharf";
-    case Scheme::kRifl: return "RIFL";
-    case Scheme::kOnePlusOne: return "1+1";
-    case Scheme::kLg: return "LinkGuardian";
-    case Scheme::kLgNb: return "LinkGuardianNB";
-  }
-  return "?";
-}
-
-inline std::unique_ptr<net::ProtectionScheme> make_scheme(Scheme s) {
-  switch (s) {
-    case Scheme::kWharf:
-      return std::make_unique<wharf::WharfScheme>();
-    case Scheme::kRifl:
-      return std::make_unique<rifl::RiflScheme>();
-    case Scheme::kOnePlusOne:
-      return std::make_unique<protect::OnePlusOneScheme>();
-    case Scheme::kNone:
-    case Scheme::kLg:
-    case Scheme::kLgNb:
-      break;
-  }
-  return std::make_unique<net::Unprotected>();
-}
-
-/// One goodput measurement: a TCP CUBIC flow across a 10G testbed path whose
-/// corrupting link runs the scheme under the given raw loss process.
-struct GoodputCell {
-  Scheme scheme = Scheme::kNone;
-  net::LossSpec loss;
-  SimTime duration = 0;
-  BitRate line_rate = gbps(10);
-};
-
-inline double run_goodput(const GoodputCell& cell) {
-  Simulator sim;
-  transport::PathConfig pc;
-  pc.rate = cell.line_rate;
-  pc.host_delay = usec(12);
-  pc.link.rate = cell.line_rate;
-  pc.link.normal_queue_bytes = 600'000;
-  pc.lg = lg::tuned_for_rate(pc.lg, pc.rate);
-  // The link's true raw loss rate, including an explicit 0 for the healthy
-  // column: LinkGuardian's Eq. 2 sizing treats "no losses observed" the same
-  // as "below target" (one reTx copy), so nothing needs a fake floor here.
-  pc.lg.actual_loss_rate = cell.loss.rate;
-  pc.lg.preserve_order = (cell.scheme != Scheme::kLgNb);
-
-  const std::unique_ptr<net::ProtectionScheme> scheme =
-      make_scheme(cell.scheme);
-  pc = transport::with_protection(pc, *scheme, cell.loss);
-
-  transport::TestbedPath path(sim, pc);
-  if (cell.loss.rate > 0) {
-    net::ResidualLoss residual = scheme->residual(cell.loss);
-    path.link().set_loss_model(std::move(residual.model));
-  }
-  if (cell.scheme == Scheme::kLg || cell.scheme == Scheme::kLgNb)
-    path.link().enable_lg();
-
-  transport::TcpSender snd(
-      sim, {transport::TcpCc::kCubic}, 1,
-      [&](net::Packet&& p) { path.send_from_a(std::move(p)); }, [](SimTime) {});
-  transport::TcpReceiver rcv(
-      1, [&](net::Packet&& p) { path.send_from_b(std::move(p)); });
-  std::int64_t delivered = 0;
-  path.set_sink_at_b([&](net::Packet&& p) {
-    delivered += p.tcp.payload;
-    rcv.on_data(p);
-  });
-  path.set_sink_at_a([&](net::Packet&& p) { snd.on_ack(p); });
-  snd.start(1'000'000'000'000LL);
-
-  // Warm up past slow start, then measure.
-  const SimTime warmup = cell.duration / 4;
-  sim.run(warmup);
-  const std::int64_t base = delivered;
-  sim.run(warmup + cell.duration);
-  return static_cast<double>(delivered - base) * 8.0 /
-         static_cast<double>(cell.duration);  // Gbps
 }
 
 }  // namespace lgsim::bench

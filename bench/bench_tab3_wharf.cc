@@ -2,14 +2,16 @@
 // no protection, Wharf (link-local FEC, best published parameters per loss
 // rate), LinkGuardian and LinkGuardianNB.
 //
-// The per-cell measurement is bench::run_goodput (bench_common.h), shared
-// with bench_baselines; schemes enter through the net::ProtectionScheme
-// abstraction. Cells fan out over the replication runner and print in grid
-// order, so the table is byte-identical for any LGSIM_BENCH_JOBS.
+// The per-cell measurement is bench::run_goodput (bench_goodput.h), one
+// harness::LongFlow per cell, shared with bench_baselines; schemes enter
+// through the net::ProtectionScheme abstraction. Cells fan out over the
+// replication runner and print in grid order, so the table is
+// byte-identical for any LGSIM_BENCH_JOBS.
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_goodput.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -20,21 +22,15 @@ int main(int argc, char** argv) {
   const SimTime duration = msec(bench::scaled(400, 60));
   const double losses[] = {0.0, 1e-5, 1e-4, 1e-3, 1e-2};
 
-  struct Row {
-    const char* name;
-    bench::Scheme scheme;
-  };
-  const std::vector<Row> rows = {{"None", bench::Scheme::kNone},
-                                 {"Wharf", bench::Scheme::kWharf},
-                                 {"LinkGuardian", bench::Scheme::kLg},
-                                 {"LinkGuardianNB", bench::Scheme::kLgNb}};
+  const bench::Scheme schemes[] = {bench::Scheme::kNone, bench::Scheme::kWharf,
+                                   bench::Scheme::kLg, bench::Scheme::kLgNb};
 
   std::vector<bench::GoodputCell> grid;
-  for (const Row& row : rows) {
+  for (bench::Scheme s : schemes) {
     for (double l : losses) {
-      if (row.scheme == bench::Scheme::kWharf && l == 0.0) continue;  // n/a
+      if (s == bench::Scheme::kWharf && l == 0.0) continue;  // n/a
       bench::GoodputCell cell;
-      cell.scheme = row.scheme;
+      cell.scheme = s;
       cell.loss.rate = l;
       cell.duration = duration;
       grid.push_back(cell);
@@ -45,10 +41,10 @@ int main(int argc, char** argv) {
 
   TablePrinter t({"Loss rate ->", "0", "1e-5", "1e-4", "1e-3", "1e-2"});
   std::size_t next = 0;
-  for (const Row& row : rows) {
-    std::vector<std::string> cells{row.name};
+  for (bench::Scheme s : schemes) {
+    std::vector<std::string> cells{bench::scheme_name(s)};
     for (double l : losses) {
-      if (row.scheme == bench::Scheme::kWharf && l == 0.0) {
+      if (s == bench::Scheme::kWharf && l == 0.0) {
         cells.push_back("n/a");
         continue;
       }

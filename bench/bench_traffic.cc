@@ -38,15 +38,6 @@ namespace {
 using namespace lgsim;
 using namespace lgsim::traffic;
 
-/// Victim-path replay knobs shared with the testbed FCT benches: the same
-/// bench::TrafficConfig that parameterizes bench_fig10/11/12 supplies the
-/// transport and link rate victim flows are driven with here.
-EngineConfig with_victim_path(EngineConfig c, const bench::TrafficConfig& tc) {
-  c.transport = tc.transports.front();
-  c.link_rate = tc.rate;
-  return c;
-}
-
 /// Small fabric whose corrupting links all stay active (constraint 1.0
 /// blocks every disable) under a forced, clearly-hurting loss rate — the
 /// differential / smoke configuration.
@@ -65,7 +56,7 @@ EngineConfig small_cfg(Scheme scheme, Fidelity fidelity) {
   c.forced_loss_rate = 1e-3;
   c.scenario_seed = 5;
   c.arrivals.load_fraction = 0.2;
-  return with_victim_path(c, bench::TrafficConfig{});
+  return c;
 }
 
 /// Paper scale: 260 pods, ~100K optical links, ~50K hosts. A 0.9 capacity
@@ -85,7 +76,7 @@ EngineConfig paper_cfg(Scheme scheme) {
   c.capacity_constraint = 0.9;
   c.scenario_seed = 17;
   c.arrivals.load_fraction = 0.1;
-  return with_victim_path(c, bench::TrafficConfig{});
+  return c;
 }
 
 struct TimedRun {

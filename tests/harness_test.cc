@@ -204,6 +204,45 @@ TEST(Timeline, RejectsRdmaTransport) {
   EXPECT_EQ(tcp_config(Transport::kCubic).cc, transport::TcpCc::kCubic);
 }
 
+TEST(Timeline, RejectsInvalidConfigs) {
+  using Mutate = void (*)(TimelineConfig&);
+  const Mutate bad[] = {
+      // A zero period re-arms the sampler at the same instant forever.
+      [](TimelineConfig& c) { c.sample_period = 0; },
+      [](TimelineConfig& c) { c.sample_period = -msec(1); },
+      [](TimelineConfig& c) { c.mean_burst = 0.5; },
+      [](TimelineConfig& c) { c.mean_burst = std::nan(""); },
+      [](TimelineConfig& c) { c.loss_rate = -1e-3; },
+      [](TimelineConfig& c) { c.loss_rate = 1.0; },
+      [](TimelineConfig& c) { c.loss_rate = std::nan(""); },
+      [](TimelineConfig& c) { c.t_end = 0; },
+      [](TimelineConfig& c) { c.t_end = -msec(1); },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    TimelineConfig c;
+    bad[i](c);
+    EXPECT_THROW(run_timeline(c), std::invalid_argument) << "case " << i;
+  }
+  // The boundary values themselves are valid.
+  TimelineConfig edge;
+  edge.loss_rate = 0.0;
+  edge.mean_burst = 1.0;
+  edge.t_corruption = usec(200);
+  edge.t_lg = usec(400);
+  edge.t_end = usec(600);
+  edge.sample_period = usec(100);
+  EXPECT_NO_THROW(run_timeline(edge));
+
+  // A goodput window must be non-empty (an empty one divides by zero) and
+  // start at or after time 0.
+  LongFlow flow(long_flow_path(gbps(10), 0.0), Transport::kCubic);
+  flow.start();
+  EXPECT_THROW(flow.goodput_gbps(usec(100), usec(100)), std::invalid_argument);
+  EXPECT_THROW(flow.goodput_gbps(usec(100), usec(50)), std::invalid_argument);
+  EXPECT_THROW(flow.goodput_gbps(-usec(10), usec(50)), std::invalid_argument);
+  EXPECT_GT(flow.goodput_gbps(usec(100), usec(500)), 0.0);
+}
+
 TEST(Timeline, NoBackpressureOverflowsReorderBuffer) {
   // Fig. 9b: without pause/resume the reordering backlog grows to the
   // recovery-stall equilibrium (~ackNoTimeout x line rate) and overflows the
