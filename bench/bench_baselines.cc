@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -168,7 +169,8 @@ int main(int argc, char** argv) {
          << bench::scheme_name(c.scheme) << "\", \"detail\": \""
          << (scripted ? c.scenario.c_str() : c.loss.kind_name())
          << "\", \"rate\": " << c.loss.rate
-         << ", \"goodput_gbps\": " << results[i]
+         << ", \"goodput_gbps\": " << std::setprecision(17) << results[i]
+         << std::setprecision(6)
          << ", \"provisioned_capacity_x\": "
          << bench::make_scheme(c.scheme)->provisioned_capacity_x(c.loss) << "}"
          << (i + 1 < grid.size() ? ",\n" : "\n");

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -103,18 +104,21 @@ class TraceSession {
 // harness::FctConfig grid in transport-major order. The seed strides
 // reproduce each figure's historical per-cell seeds exactly (fig10: base
 // 1000, protection stride 1; fig11: base 2000, strides 7/31; fig12: base
-// 3000), so extracting the scaffolding changed no output byte.
+// 3000), so extracting the scaffolding changed no output byte. Every figure
+// compares the same four conditions, in kFctProtections order, at the
+// paper's ~1e-3 corruption loss on a 100G link.
 // ---------------------------------------------------------------------------
+
+inline constexpr harness::Protection kFctProtections[] = {
+    harness::Protection::kNoLoss, harness::Protection::kLg,
+    harness::Protection::kLgNb, harness::Protection::kLossOnly};
+inline constexpr double kFctLossRate = 1e-3;
+inline constexpr BitRate kFctRate = gbps(100);
 
 struct TrafficConfig {
   std::vector<harness::Transport> transports{harness::Transport::kDctcp};
-  std::vector<harness::Protection> protections{
-      harness::Protection::kNoLoss, harness::Protection::kLg,
-      harness::Protection::kLgNb, harness::Protection::kLossOnly};
   std::int64_t flow_bytes = 143;
   std::int64_t trials = 10'000;
-  double loss_rate = 1e-3;
-  BitRate rate = gbps(100);
   SimTime inter_trial_gap = usec(20);
   /// Per-cell seed = base + protection * protection_stride +
   /// transport * transport_stride.
@@ -125,16 +129,16 @@ struct TrafficConfig {
 
 inline std::vector<harness::FctConfig> fct_grid(const TrafficConfig& tc) {
   std::vector<harness::FctConfig> grid;
-  grid.reserve(tc.transports.size() * tc.protections.size());
+  grid.reserve(tc.transports.size() * std::size(kFctProtections));
   for (harness::Transport tr : tc.transports) {
-    for (harness::Protection pr : tc.protections) {
+    for (harness::Protection pr : kFctProtections) {
       harness::FctConfig c;
       c.transport = tr;
       c.protection = pr;
       c.flow_bytes = tc.flow_bytes;
       c.trials = tc.trials;
-      c.loss_rate = tc.loss_rate;
-      c.rate = tc.rate;
+      c.loss_rate = kFctLossRate;
+      c.rate = kFctRate;
       c.inter_trial_gap = tc.inter_trial_gap;
       c.seed = tc.seed_base +
                static_cast<std::uint64_t>(pr) * tc.seed_protection_stride +

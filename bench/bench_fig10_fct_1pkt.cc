@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
     TablePrinter t({"Condition", "p50 (us)", "p99 (us)", "p99.9 (us)",
                     "p99.99 (us)", "max (us)", "RTO trials"});
     double p999_loss = 0, p999_noloss = 0;
-    for (Protection pr : {Protection::kNoLoss, Protection::kLg,
-                          Protection::kLgNb, Protection::kLossOnly}) {
+    for (Protection pr : bench::kFctProtections) {
       const FctResult& r = results[i++];
       if (pr == Protection::kNoLoss) p999_noloss = r.p(99.9);
       if (pr == Protection::kLossOnly) p999_loss = r.p(99.9);

@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
   for (Transport tr : {Transport::kDctcp, Transport::kBbr, Transport::kRdmaWrite}) {
     TablePrinter t({"Condition", "p50 (us)", "p95 (us)", "p99 (us)",
                     "p99.9 (us)", "max (us)", "e2e-retx trials", "RTO trials"});
-    for (Protection pr : {Protection::kNoLoss, Protection::kLg,
-                          Protection::kLgNb, Protection::kLossOnly}) {
+    for (Protection pr : bench::kFctProtections) {
       const FctResult& r = results[i++];
       t.add_row({std::string(transport_name(tr)) + " (" + protection_name(pr) + ")",
                  TablePrinter::fmt(r.p(50), 1), TablePrinter::fmt(r.p(95), 1),

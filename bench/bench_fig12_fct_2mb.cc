@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   const std::vector<FctResult> results = run_grid(bench::fct_grid(tc), run_fct);
 
   std::size_t i = 0;
-  for (Protection pr : {Protection::kNoLoss, Protection::kLg, Protection::kLgNb,
-                        Protection::kLossOnly}) {
+  for (Protection pr : bench::kFctProtections) {
     const FctResult& r = results[i++];
     t.add_row({protection_name(pr), TablePrinter::fmt(r.p(20), 1),
                TablePrinter::fmt(r.p(50), 1), TablePrinter::fmt(r.p(95), 1),

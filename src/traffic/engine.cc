@@ -128,14 +128,15 @@ struct CellOut {
 /// One {seed, time-slice} cell and the read-only state its stages share.
 class Cell {
  public:
-  Cell(const EngineConfig& cfg, const Scenario& sc, std::uint64_t seed,
+  Cell(const EngineConfig& cfg, const Scenario& sc,
+       const workload::FlowSizeDistribution& dist, std::uint64_t seed,
        std::int32_t slice)
       : cfg_(cfg),
         sc_(sc),
         seed_(seed),
         slice_(slice),
         resolver_(sc.topo, cfg.hosts_per_tor),
-        dist_(workload::FlowSizeDistribution::make(cfg.workload)),
+        dist_(dist),
         fluid_(fluid_config(cfg), cfg.link_rate),
         t0_(slice * (cfg.duration_sec / cfg.slices)),
         t1_((slice + 1) * (cfg.duration_sec / cfg.slices)) {}
@@ -150,11 +151,12 @@ class Cell {
     return fl;
   }
 
+  /// A background flow is loss-free and draws nothing, so only a victim
+  /// seeds its recovery stream from the flow's `aux` word.
   double fluid_us(const Candidate& c) const {
+    if (c.hot_idx < 0) return fluid_.fct_ns(c.bytes, c.n_links) / 1000.0;
     Rng fr(c.aux);
-    const double loss =
-        c.hot_idx >= 0 ? sc_.hot[static_cast<std::size_t>(c.hot_idx)].residual
-                       : 0.0;
+    const double loss = sc_.hot[static_cast<std::size_t>(c.hot_idx)].residual;
     return fluid_.fct_ns(c.bytes, c.n_links, loss, fr) / 1000.0;
   }
 
@@ -167,7 +169,7 @@ class Cell {
   std::uint64_t seed_;
   std::int32_t slice_;
   PathResolver resolver_;
-  workload::FlowSizeDistribution dist_;
+  const workload::FlowSizeDistribution& dist_;
   FluidModel fluid_;
   double t0_;
   double t1_;
@@ -389,6 +391,7 @@ void TrafficResult::export_metrics(obs::MetricsRegistry& m) const {
 TrafficResult run_traffic(const EngineConfig& cfg, unsigned jobs) {
   validate(cfg);
   const Scenario sc = build_scenario(cfg);
+  const auto dist = workload::FlowSizeDistribution::make(cfg.workload);
 
   struct CellJob {
     std::uint64_t seed;
@@ -400,7 +403,9 @@ TrafficResult run_traffic(const EngineConfig& cfg, unsigned jobs) {
   }
   const std::vector<CellOut> cells = harness::run_grid(
       grid,
-      [&](const CellJob& j) { return Cell(cfg, sc, j.seed, j.slice).run(); },
+      [&](const CellJob& j) {
+        return Cell(cfg, sc, dist, j.seed, j.slice).run();
+      },
       jobs == 0 ? harness::bench_jobs() : jobs);
 
   TrafficResult res;

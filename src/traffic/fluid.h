@@ -55,11 +55,43 @@ class FluidModel {
     queue_ns_per_hop_ = rho / (1.0 - rho) * frame_ns_;
   }
 
+  /// FCT in nanoseconds for one loss-free flow of `bytes` over `n_links`
+  /// fabric links. Draws nothing.
+  double fct_ns(std::int64_t bytes, std::int32_t n_links) const {
+    return lossless(bytes, n_links).fct;
+  }
+
   /// FCT in nanoseconds for one flow of `bytes` over `n_links` fabric links
-  /// with residual loss rate `loss` on the path. Draws at most two uniforms
-  /// from `rng` (loss Bernoulli + recovery-kind Bernoulli).
+  /// with residual loss rate `loss` on the path: the loss-free FCT plus at
+  /// most one recovery. Draws at most two uniforms from `rng` (loss
+  /// Bernoulli + recovery-kind Bernoulli), none when `loss` is 0.
   double fct_ns(std::int64_t bytes, std::int32_t n_links, double loss,
                 Rng& rng) const {
+    const Lossless l = lossless(bytes, n_links);
+    double t = l.fct;
+    if (loss > 0.0) {
+      const double p_any =
+          -std::expm1(static_cast<double>(l.n_segs) * std::log1p(-loss));
+      if (rng.bernoulli(p_any)) {
+        // Fast retransmit needs >= 3 dupacks after the hole: impossible for
+        // very short flows, and a tail loss (~3 trailing segments) also
+        // falls back to the timer.
+        const bool rto =
+            l.n_segs < 4 || rng.bernoulli(3.0 / static_cast<double>(l.n_segs));
+        t += rto ? static_cast<double>(transport::kTcpRtoMin) : l.rtt;
+      }
+    }
+    return t;
+  }
+
+ private:
+  struct Lossless {
+    std::int64_t n_segs;
+    double rtt;
+    double fct;
+  };
+
+  Lossless lossless(std::int64_t bytes, std::int32_t n_links) const {
     const auto n_segs = std::max<std::int64_t>(
         1, (bytes + transport::kTcpMss - 1) / transport::kTcpMss);
     const double rtt =
@@ -86,22 +118,9 @@ class FluidModel {
       }
       cwnd = std::min(cwnd * 2.0, bdp_segs);
     }
-
-    if (loss > 0.0) {
-      const double p_any =
-          -std::expm1(static_cast<double>(n_segs) * std::log1p(-loss));
-      if (rng.bernoulli(p_any)) {
-        // Fast retransmit needs >= 3 dupacks after the hole: impossible for
-        // very short flows, and a tail loss (~3 trailing segments) also
-        // falls back to the timer.
-        const bool rto = n_segs < 4 || rng.bernoulli(3.0 / static_cast<double>(n_segs));
-        t += rto ? static_cast<double>(transport::kTcpRtoMin) : rtt;
-      }
-    }
-    return t;
+    return {n_segs, rtt, t};
   }
 
- private:
   FluidConfig cfg_;
   double frame_ns_ = 0.0;
   double queue_ns_per_hop_ = 0.0;

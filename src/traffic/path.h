@@ -23,6 +23,15 @@
 //
 // Probes read the topology's one-byte link_state(), not the Link records: at
 // 100K links the records are 4.8 MB, the state bytes ~100 KB.
+//
+// Link ids come from offsets, not from the topology's link-id calls. Because
+// hosts are pod-major, host / hosts_per_tor is the global ToR index g =
+// pod * tors_per_pod + tor, and g / tors_per_pod is the pod. A ToR's uplinks
+// are one row of fabrics_per_pod ids, tor_fabric_link(0,0,0) + g * F + f;
+// a pod's spine links are one row of F * S ids, fabric_spine_link(0,0,0) +
+// pod * F * S + f * S + s. The resolver caches both bases at construction,
+// so a flow costs at most two divisions per endpoint plus the two hash
+// reductions, and a probe that wraps around steps instead of dividing.
 #pragma once
 
 #include <array>
@@ -41,44 +50,47 @@ struct PathInfo {
 class PathResolver {
  public:
   PathResolver(const fabric::FabricTopology& topo, std::int32_t hosts_per_tor)
-      : topo_(topo), hosts_per_tor_(hosts_per_tor) {}
+      : topo_(topo),
+        hosts_per_tor_(hosts_per_tor),
+        tors_per_pod_(topo.config().tors_per_pod),
+        fabrics_(topo.config().fabrics_per_pod),
+        spines_(topo.config().spines_per_plane),
+        tor_fabric0_(topo.tor_fabric_link(0, 0, 0)),
+        fabric_spine0_(topo.fabric_spine_link(0, 0, 0)) {}
 
   std::int64_t n_hosts() const {
-    const auto& c = topo_.config();
-    return static_cast<std::int64_t>(c.pods) * c.tors_per_pod * hosts_per_tor_;
-  }
-  std::int32_t pod_of(std::int64_t host) const {
-    const auto& c = topo_.config();
-    return static_cast<std::int32_t>(host / (static_cast<std::int64_t>(c.tors_per_pod) * hosts_per_tor_));
-  }
-  std::int32_t tor_of(std::int64_t host) const {
-    const auto& c = topo_.config();
-    return static_cast<std::int32_t>(host / hosts_per_tor_ % c.tors_per_pod);
+    return static_cast<std::int64_t>(topo_.config().pods) * tors_per_pod_ *
+           hosts_per_tor_;
   }
 
   /// Resolves src->dst under ECMP hash `hash`. Pure const query (thread-safe
   /// on a shared topology: touches no mutable caches).
   PathInfo resolve(std::int64_t src, std::int64_t dst,
                    std::uint64_t hash) const {
-    const auto& c = topo_.config();
     PathInfo p;
-    const std::int32_t sp = pod_of(src), st = tor_of(src);
-    const std::int32_t dp = pod_of(dst), dt = tor_of(dst);
-
-    if (sp == dp && st == dt) {  // same ToR: never touches a fabric link
+    const std::int64_t gs = src / hosts_per_tor_;  // global ToR index
+    const std::int64_t gd = dst / hosts_per_tor_;
+    if (gs == gd) {  // same ToR: never touches a fabric link
       p.ok = true;
       return p;
     }
 
-    const std::int32_t F = c.fabrics_per_pod;
-    const std::int32_t S = c.spines_per_plane;
+    const std::int32_t F = fabrics_;
+    const std::int32_t S = spines_;
     const auto f0 = static_cast<std::int32_t>(hash % static_cast<std::uint64_t>(F));
+    const auto next = [](std::int32_t i, std::int32_t n) {
+      return i + 1 < n ? i + 1 : 0;
+    };
+    // tor_fabric_link(pod, tor, f) == ToR row + f.
+    const std::int64_t src_tor = tor_fabric0_ + gs * F;
+    const std::int64_t dst_tor = tor_fabric0_ + gd * F;
+    const std::int64_t sp = gs / tors_per_pod_;
+    const std::int64_t dp = gd / tors_per_pod_;
 
     if (sp == dp) {  // intra-pod: any fabric switch with both ToR links up
-      for (std::int32_t i = 0; i < F; ++i) {
-        const std::int32_t f = (f0 + i) % F;
-        const std::int64_t up1 = topo_.tor_fabric_link(sp, st, f);
-        const std::int64_t dn1 = topo_.tor_fabric_link(sp, dt, f);
+      for (std::int32_t i = 0, f = f0; i < F; ++i, f = next(f, F)) {
+        const std::int64_t up1 = src_tor + f;
+        const std::int64_t dn1 = dst_tor + f;
         if (is_up(up1) && is_up(dn1)) {
           p.links = {up1, dn1, 0, 0};
           p.n_links = 2;
@@ -90,17 +102,20 @@ class PathResolver {
     }
 
     // Inter-pod: fabric plane f and spine s must be up end to end.
+    // fabric_spine_link(pod, f, s) == spine row + f * S + s.
     const auto s0 =
         static_cast<std::int32_t>((hash >> 16) % static_cast<std::uint64_t>(S));
-    for (std::int32_t i = 0; i < F; ++i) {
-      const std::int32_t f = (f0 + i) % F;
-      const std::int64_t up1 = topo_.tor_fabric_link(sp, st, f);
-      const std::int64_t dn1 = topo_.tor_fabric_link(dp, dt, f);
+    const std::int64_t src_spine = fabric_spine0_ + sp * F * S;
+    const std::int64_t dst_spine = fabric_spine0_ + dp * F * S;
+    for (std::int32_t i = 0, f = f0; i < F; ++i, f = next(f, F)) {
+      const std::int64_t up1 = src_tor + f;
+      const std::int64_t dn1 = dst_tor + f;
       if (!is_up(up1) || !is_up(dn1)) continue;
-      for (std::int32_t j = 0; j < S; ++j) {
-        const std::int32_t s = (s0 + j) % S;
-        const std::int64_t up2 = topo_.fabric_spine_link(sp, f, s);
-        const std::int64_t dn2 = topo_.fabric_spine_link(dp, f, s);
+      const std::int64_t up_plane = src_spine + static_cast<std::int64_t>(f) * S;
+      const std::int64_t dn_plane = dst_spine + static_cast<std::int64_t>(f) * S;
+      for (std::int32_t j = 0, s = s0; j < S; ++j, s = next(s, S)) {
+        const std::int64_t up2 = up_plane + s;
+        const std::int64_t dn2 = dn_plane + s;
         if (is_up(up2) && is_up(dn2)) {
           p.links = {up1, up2, dn2, dn1};
           p.n_links = 4;
@@ -119,6 +134,11 @@ class PathResolver {
 
   const fabric::FabricTopology& topo_;
   std::int32_t hosts_per_tor_;
+  std::int32_t tors_per_pod_;
+  std::int32_t fabrics_;
+  std::int32_t spines_;
+  std::int64_t tor_fabric0_;    // tor_fabric_link(0, 0, 0)
+  std::int64_t fabric_spine0_;  // fabric_spine_link(0, 0, 0)
 };
 
 }  // namespace lgsim::traffic

@@ -67,6 +67,7 @@ class PercentileTracker {
   void add(double x) {
     samples_.push_back(x);
     sorted_ = false;
+    selected_ = 0;
   }
 
   std::int64_t count() const { return static_cast<std::int64_t>(samples_.size()); }
@@ -76,7 +77,10 @@ class PercentileTracker {
   ///
   /// On unsorted samples, selects the two neighbouring ranks (nth_element at
   /// `lo`, then the minimum above it) instead of sorting: O(n), and the very
-  /// doubles the sorted vector holds at `lo` and `lo + 1`.
+  /// doubles the sorted vector holds at `lo` and `lo + 1`. A selection leaves
+  /// every sample ranked at or above `lo` in [lo, n), so a later query at or
+  /// above it selects in that tail only: p50 -> p99 -> p99.9 costs about 1.5
+  /// passes over the samples, not 3.
   double percentile(double p) const {
     if (samples_.empty()) return 0.0;
     if (p <= 0.0) return min();
@@ -85,7 +89,12 @@ class PercentileTracker {
     const auto lo = static_cast<std::size_t>(rank);
     const double frac = rank - static_cast<double>(lo);
     const auto at = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
-    if (!sorted_) std::nth_element(samples_.begin(), at, samples_.end());
+    if (!sorted_) {
+      const std::size_t from = lo >= selected_ ? selected_ : 0;
+      std::nth_element(samples_.begin() + static_cast<std::ptrdiff_t>(from),
+                       at, samples_.end());
+      selected_ = lo;
+    }
     if (lo + 1 >= samples_.size()) return *at;
     const double next =
         sorted_ ? at[1] : *std::min_element(at + 1, samples_.end());
@@ -125,6 +134,7 @@ class PercentileTracker {
   void merge(const PercentileTracker& o) {
     samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
     sorted_ = samples_.empty();
+    selected_ = 0;
   }
 
   void reserve(std::size_t n) { samples_.reserve(n); }
@@ -141,6 +151,10 @@ class PercentileTracker {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
+  /// Rank of the last selection on unsorted samples: samples_[0, selected_)
+  /// are all <= samples_[selected_, n); 0 when there is none. Read only
+  /// while unsorted, and add and merge, the only calls that unsort, clear it.
+  mutable std::size_t selected_ = 0;
 };
 
 /// Integer-valued histogram (e.g. "consecutive packets lost" in Fig. 20).

@@ -28,6 +28,8 @@ FlowSizeDistribution::FlowSizeDistribution(std::vector<Point> points)
     assert(points_[i].bytes >= points_[i - 1].bytes);
     assert(points_[i].cdf >= points_[i - 1].cdf);
   }
+  log_bytes_.reserve(points_.size());
+  for (const Point& p : points_) log_bytes_.push_back(std::log(p.bytes));
 }
 
 FlowSizeDistribution FlowSizeDistribution::make(Workload w) {
@@ -111,8 +113,8 @@ double FlowSizeDistribution::cdf(double bytes) const {
       const auto& a = points_[i - 1];
       const auto& b = points_[i];
       if (bytes <= a.bytes) return a.cdf;
-      const double f = (std::log(bytes) - std::log(a.bytes)) /
-                       (std::log(b.bytes) - std::log(a.bytes));
+      const double la = log_bytes_[i - 1], lb = log_bytes_[i];
+      const double f = (std::log(bytes) - la) / (lb - la);
       return a.cdf + f * (b.cdf - a.cdf);
     }
   }
@@ -129,8 +131,8 @@ std::int64_t FlowSizeDistribution::quantile(double u) const {
       if (b.bytes <= a.bytes) return static_cast<std::int64_t>(b.bytes);
       if (b.cdf <= a.cdf) return static_cast<std::int64_t>(b.bytes);
       const double f = (u - a.cdf) / (b.cdf - a.cdf);
-      const double lg =
-          std::log(a.bytes) + f * (std::log(b.bytes) - std::log(a.bytes));
+      const double la = log_bytes_[i - 1], lb = log_bytes_[i];
+      const double lg = la + f * (lb - la);
       return std::max<std::int64_t>(1, static_cast<std::int64_t>(std::exp(lg)));
     }
   }
@@ -154,7 +156,7 @@ double FlowSizeDistribution::mean_bytes() const {
     const double pa = b.cdf - a.cdf;
     if (pa <= 0) continue;
     // Mean of a log-uniform segment.
-    const double la = std::log(a.bytes), lb = std::log(b.bytes);
+    const double la = log_bytes_[i - 1], lb = log_bytes_[i];
     const double seg_mean =
         lb > la ? (b.bytes - a.bytes) / (lb - la) : a.bytes;
     mean += pa * seg_mean;

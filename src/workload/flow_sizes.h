@@ -31,6 +31,10 @@ enum class Workload : std::uint8_t {
 const char* workload_name(Workload w);
 
 /// Empirical CDF over flow sizes in bytes.
+///
+/// The constructor caches std::log of every control point's byte value, so a
+/// quantile() draw costs one std::exp and cdf() one std::log. The cached
+/// values are the very doubles the uncached formula computed per call.
 class FlowSizeDistribution {
  public:
   struct Point {
@@ -56,9 +60,12 @@ class FlowSizeDistribution {
   double mean_bytes() const;
   double min_bytes() const { return points_.front().bytes; }
   double max_bytes() const { return points_.back().bytes; }
+  /// The control points, in non-decreasing (bytes, cdf) order.
+  const std::vector<Point>& points() const { return points_; }
 
  private:
   std::vector<Point> points_;
+  std::vector<double> log_bytes_;  // std::log(points_[i].bytes)
 };
 
 }  // namespace lgsim::workload

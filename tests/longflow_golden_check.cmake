@@ -8,7 +8,9 @@
 # bench_baselines --smoke, against hashes recorded before the three
 # hand-wired copies of that testbed were folded into one runner. A drift in
 # path wiring, event order, loss-model installation or the measurement
-# window shows up here as a hash mismatch.
+# window shows up here as a hash mismatch. The --bench_json rows carry each
+# goodput double at 17 significant digits, so a one-ulp drift fails too; that
+# hash was recorded from the one runner with only the precision raised.
 #
 # Usage:
 #   cmake -DFIG09=<bench_fig09_dctcp_timeline> -DFIG21=<bench_fig21_cubic_bbr>

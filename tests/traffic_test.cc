@@ -260,6 +260,115 @@ TEST(PathResolver, StateBytesAgreeWithLinkRecordReference) {
   EXPECT_GT(inter, 100);
 }
 
+// Test-local copy of PathResolver::resolve as written before its rows were
+// cached: pod and ToR from three divisions per endpoint, link ids from the
+// topology's out-of-line accessors, `%` in the probe loops.
+PathInfo division_resolve(const fabric::FabricTopology& topo,
+                          std::int32_t hosts_per_tor, std::int64_t src,
+                          std::int64_t dst, std::uint64_t hash) {
+  const auto& c = topo.config();
+  const auto pod_of = [&](std::int64_t h) {
+    return static_cast<std::int32_t>(
+        h / (static_cast<std::int64_t>(c.tors_per_pod) * hosts_per_tor));
+  };
+  const auto tor_of = [&](std::int64_t h) {
+    return static_cast<std::int32_t>(h / hosts_per_tor % c.tors_per_pod);
+  };
+  const auto is_up = [&](std::int64_t id) {
+    return (topo.link_state(id) & fabric::kLinkUp) != 0;
+  };
+  PathInfo p;
+  const std::int32_t sp = pod_of(src), st = tor_of(src);
+  const std::int32_t dp = pod_of(dst), dt = tor_of(dst);
+  if (sp == dp && st == dt) {
+    p.ok = true;
+    return p;
+  }
+  const std::int32_t F = c.fabrics_per_pod;
+  const std::int32_t S = c.spines_per_plane;
+  const auto f0 = static_cast<std::int32_t>(hash % static_cast<std::uint64_t>(F));
+  if (sp == dp) {
+    for (std::int32_t i = 0; i < F; ++i) {
+      const std::int32_t f = (f0 + i) % F;
+      const std::int64_t up1 = topo.tor_fabric_link(sp, st, f);
+      const std::int64_t dn1 = topo.tor_fabric_link(sp, dt, f);
+      if (is_up(up1) && is_up(dn1)) {
+        p.links = {up1, dn1, 0, 0};
+        p.n_links = 2;
+        p.ok = true;
+        return p;
+      }
+    }
+    return p;
+  }
+  const auto s0 =
+      static_cast<std::int32_t>((hash >> 16) % static_cast<std::uint64_t>(S));
+  for (std::int32_t i = 0; i < F; ++i) {
+    const std::int32_t f = (f0 + i) % F;
+    const std::int64_t up1 = topo.tor_fabric_link(sp, st, f);
+    const std::int64_t dn1 = topo.tor_fabric_link(dp, dt, f);
+    if (!is_up(up1) || !is_up(dn1)) continue;
+    for (std::int32_t j = 0; j < S; ++j) {
+      const std::int32_t s = (s0 + j) % S;
+      const std::int64_t up2 = topo.fabric_spine_link(sp, f, s);
+      const std::int64_t dn2 = topo.fabric_spine_link(dp, f, s);
+      if (is_up(up2) && is_up(dn2)) {
+        p.links = {up1, up2, dn2, dn1};
+        p.n_links = 4;
+        p.ok = true;
+        return p;
+      }
+    }
+  }
+  return p;
+}
+
+TEST(PathResolver, MatchesReferenceResolver) {
+  // Random small fabrics, wide enough for the probes to wrap around several
+  // fabrics and spines, with random disabled links: every host pair
+  // (same-ToR pairs included) under hashes spanning all 64 bits resolves to
+  // the reference's exact path.
+  Rng rng(20261018);
+  std::int64_t same_tor = 0, intra = 0, inter = 0, stranded = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const fabric::TopologyConfig tc{
+        .pods = 1 + static_cast<std::int32_t>(rng.uniform_int(4)),
+        .tors_per_pod = 1 + static_cast<std::int32_t>(rng.uniform_int(4)),
+        .fabrics_per_pod = 1 + static_cast<std::int32_t>(rng.uniform_int(6)),
+        .spines_per_plane = 1 + static_cast<std::int32_t>(rng.uniform_int(7))};
+    const auto hpt = 1 + static_cast<std::int32_t>(rng.uniform_int(3));
+    fabric::FabricTopology topo(tc);
+    const double p_down = rng.uniform(0.0, 0.7);
+    for (std::int64_t id = 0; id < topo.n_links(); ++id) {
+      if (rng.bernoulli(p_down))
+        topo.apply({fabric::LinkTransition::Kind::kDisable, id, 0.0, 1.0});
+    }
+    const PathResolver pr(topo, hpt);
+    for (std::int64_t src = 0; src < pr.n_hosts(); ++src) {
+      for (std::int64_t dst = 0; dst < pr.n_hosts(); ++dst) {
+        if (src == dst) continue;
+        for (int k = 0; k < 3; ++k) {
+          const std::uint64_t hash = rng.next_u64();
+          const PathInfo got = pr.resolve(src, dst, hash);
+          const PathInfo want = division_resolve(topo, hpt, src, dst, hash);
+          ASSERT_EQ(got.ok, want.ok) << "trial " << trial;
+          ASSERT_EQ(got.n_links, want.n_links) << "trial " << trial;
+          for (std::int32_t i = 0; i < got.n_links; ++i)
+            ASSERT_EQ(got.links[i], want.links[i]) << "trial " << trial;
+          if (!got.ok) ++stranded;
+          else if (got.n_links == 0) ++same_tor;
+          else if (got.n_links == 2) ++intra;
+          else ++inter;
+        }
+      }
+    }
+  }
+  EXPECT_GT(same_tor, 50);
+  EXPECT_GT(intra, 100);
+  EXPECT_GT(inter, 100);
+  EXPECT_GT(stranded, 100);
+}
+
 // ---------------------------------------------------------------------------
 // Fluid model
 // ---------------------------------------------------------------------------

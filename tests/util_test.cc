@@ -288,6 +288,63 @@ TEST(PercentileTracker, SelectionMatchesSortBitForBit) {
   EXPECT_GT(unsorted_queries, queries / 2);
 }
 
+TEST(PercentileTracker, QuerySequencesMatchSortedReference) {
+  // A query ranking at or above the previous one selects only above the
+  // previous rank; an add, merge or reset in between must void that. Each
+  // sequence runs bare and with one of the three after every query.
+  const std::vector<std::vector<double>> sequences = {
+      {50.0, 90.0, 99.0, 99.9, 99.99},  // ascending: the tail queries
+      {99.99, 99.9, 99.0, 90.0, 50.0},  // descending
+      {99.0, 99.0, 50.0, 50.0, 99.9, 99.9, 99.9},  // repeated
+  };
+  enum class Between { kNothing, kAdd, kMerge, kReset };
+  std::mt19937_64 rng(20261018);
+  int queries = 0;
+  for (const std::vector<double>& seq : sequences) {
+    for (const Between between :
+         {Between::kNothing, Between::kAdd, Between::kMerge, Between::kReset}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const bool dupes = trial % 2 == 0;
+        auto draw = [&] {
+          return dupes ? static_cast<double>(rng() % 7)
+                       : std::ldexp(static_cast<double>(rng() >> 11), -40);
+        };
+        PercentileTracker t;
+        std::vector<double> all;
+        auto fill = [&](PercentileTracker& into, std::size_t n) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const double x = draw();
+            into.add(x);
+            all.push_back(x);
+          }
+        };
+        fill(t, 1 + rng() % 3000);
+        for (const double p : seq) {
+          ASSERT_TRUE(same_bits(t.percentile(p), sorted_percentile(all, p)))
+              << "trial " << trial << " n " << all.size() << " p " << p;
+          ++queries;
+          switch (between) {
+            case Between::kNothing: break;
+            case Between::kAdd: fill(t, 1 + rng() % 50); break;
+            case Between::kMerge: {
+              PercentileTracker other;
+              fill(other, 1 + rng() % 50);
+              t.merge(other);
+              break;
+            }
+            case Between::kReset:
+              t.reset();
+              all.clear();
+              fill(t, 1 + rng() % 3000);
+              break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(queries, (5 + 5 + 7) * 4 * 40);
+}
+
 TEST(CountHistogram, MergeSumsBins) {
   CountHistogram a, b;
   a.add(1);

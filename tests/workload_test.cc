@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "sim/random.h"
 #include "workload/flow_sizes.h"
 
@@ -155,6 +160,97 @@ TEST(FlowSizes, EmpiricalMeanMatchesAnalyticMean) {
     const double emp = sum / n;
     const double ana = d.mean_bytes();
     EXPECT_NEAR(emp, ana, 0.03 * ana) << workload_name(w);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: cached per-point logs against the uncached formulas
+// ---------------------------------------------------------------------------
+
+using Points = std::vector<FlowSizeDistribution::Point>;
+
+// Test-local copy of quantile() as written before the per-point logs were
+// cached: a first-match scan, then two std::log calls and one std::exp.
+std::int64_t uncached_quantile(const Points& pts, double u) {
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    if (u <= pts[i].cdf) {
+      const auto& a = pts[i - 1];
+      const auto& b = pts[i];
+      if (b.bytes <= a.bytes) return static_cast<std::int64_t>(b.bytes);
+      if (b.cdf <= a.cdf) return static_cast<std::int64_t>(b.bytes);
+      const double f = (u - a.cdf) / (b.cdf - a.cdf);
+      const double lg =
+          std::log(a.bytes) + f * (std::log(b.bytes) - std::log(a.bytes));
+      return std::max<std::int64_t>(1, static_cast<std::int64_t>(std::exp(lg)));
+    }
+  }
+  return static_cast<std::int64_t>(pts.back().bytes);
+}
+
+// Test-local copy of cdf() as written before the per-point logs were cached.
+double uncached_cdf(const Points& pts, double bytes) {
+  if (bytes < pts.front().bytes) return 0.0;
+  if (bytes >= pts.back().bytes) return 1.0;
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    if (bytes < pts[i].bytes) {
+      const auto& a = pts[i - 1];
+      const auto& b = pts[i];
+      if (bytes <= a.bytes) return a.cdf;
+      const double f = (std::log(bytes) - std::log(a.bytes)) /
+                       (std::log(b.bytes) - std::log(a.bytes));
+      return a.cdf + f * (b.cdf - a.cdf);
+    }
+  }
+  return 1.0;
+}
+
+// `x` and the doubles on either side of it.
+std::vector<double> with_neighbours(double x) {
+  return {std::nextafter(x, -HUGE_VAL), x, std::nextafter(x, HUGE_VAL)};
+}
+
+TEST(FlowSizeDistribution, QuantileMatchesUncachedFormula) {
+  Rng rng(23);
+  std::int64_t checked = 0;
+  for (auto w : kAll) {
+    const auto d = FlowSizeDistribution::make(w);
+    const Points& pts = d.points();
+    std::vector<double> us;
+    for (int i = 0; i < 200'000; ++i) us.push_back(i / 200'000.0);
+    for (int i = 0; i < 200'000; ++i) us.push_back(rng.uniform());
+    // Each control point's CDF (an atom's lower and upper edge included)
+    // and its neighbouring doubles: where first-match picks the segment.
+    for (const auto& p : pts) {
+      for (double u : with_neighbours(p.cdf)) {
+        if (u >= 0.0 && u < 1.0) us.push_back(u);
+      }
+    }
+    for (double u : us) {
+      ASSERT_EQ(d.quantile(u), uncached_quantile(pts, u))
+          << workload_name(w) << " u=" << u;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 6 * 400'000);
+}
+
+TEST(FlowSizeDistribution, CdfMatchesUncachedFormula) {
+  for (auto w : kAll) {
+    const auto d = FlowSizeDistribution::make(w);
+    const Points& pts = d.points();
+    std::vector<double> xs;
+    // Log-spaced over the support and a decade either side of it.
+    const double lo = std::log(pts.front().bytes / 10);
+    const double hi = std::log(pts.back().bytes * 10);
+    for (int i = 0; i <= 100'000; ++i)
+      xs.push_back(std::exp(lo + (hi - lo) * i / 100'000.0));
+    for (const auto& p : pts) {
+      for (double x : with_neighbours(p.bytes)) xs.push_back(x);
+    }
+    for (double x : xs) {
+      ASSERT_EQ(d.cdf(x), uncached_cdf(pts, x))
+          << workload_name(w) << " bytes=" << x;
+    }
   }
 }
 
