@@ -96,9 +96,8 @@ inline double run_goodput(const GoodputCell& cell) {
   healthy.rate = 0.0;
   net::ResidualLoss residual = scheme->residual(healthy);
   flow.link().set_loss_model(std::move(residual.model));
-  fault::FaultInjector injector(flow.sim(), sc.script);
-  injector.add_link(fault::kLinkTarget, residual.raw);
-  injector.arm();  // bus/monitor/probe targets stay unbound: dataplane cell
+  // Bus, monitor and prober stay null: a dataplane cell skips their events.
+  fault::FaultInjector injector(flow.sim(), sc.script, {residual.raw});
   flow.start();
   return flow.goodput_gbps(0, sc.horizon);
 }

@@ -50,6 +50,11 @@ constexpr monitor::FallbackConfig kFallback = {5e-3, 5e-2, 0.5, msec(2)};
 /// latency is the time to the first lost probe plus a poll quantum.
 constexpr SimTime kProbeTau = msec(20);
 
+/// corruptd's topic for the link (LgActivator interns it) and the prober's
+/// name (the prober interns it): both reach the trace's name table.
+constexpr const char* kLinkTopic = "link0";
+constexpr const char* kProberName = "probe0";
+
 }  // namespace
 
 LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
@@ -96,7 +101,7 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
     estimator = std::make_unique<telemetry::SeqWindowEstimator>(ec);
     telemetry::ProberConfig pc;
     pc.period = cfg.probe_period;
-    pc.name = kProbeTarget;
+    pc.name = kProberName;
     prober = std::make_unique<telemetry::LinkProber>(
         sim, pc, [&link](net::Packet&& p) { link.send_forward(std::move(p)); });
     prober->start();
@@ -152,12 +157,12 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
     telemetry::SeqWindowEstimator* est = estimator.get();
     Simulator* simp = &sim;
     daemon.add_port(
-        {kLinkTarget,
+        {kLinkTopic,
          [est] { return est->cum_received(); },
          [est, simp] { return est->cum_expected(simp->now()); }});
   } else {
     daemon.add_port(
-        {kLinkTarget,
+        {kLinkTopic,
          [&] { return link.forward_port().counters().delivered_frames; },
          [&] {
            const auto& c = link.forward_port().counters();
@@ -173,14 +178,14 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   // duplicates). Only kOff disables; re-engaging from kOff is the clean
   // era switchover (all in-flight frames are unprotected by then).
   monitor::AutoFallback fallback(
-      sim, kFallback, [&] { return daemon.loss_rate(kLinkTarget); },
+      sim, kFallback, [&] { return daemon.loss_rate(kLinkTopic); },
       [&](monitor::LgMode m) {
         if (m == monitor::LgMode::kOff) {
           if (link.lg_enabled()) link.disable_lg();
           return;
         }
         link.set_actual_loss_rate(
-            std::max(1e-9, daemon.loss_rate(kLinkTarget)));
+            std::max(1e-9, daemon.loss_rate(kLinkTopic)));
         const bool ordered = m == monitor::LgMode::kOrdered;
         if (link.lg_enabled()) {
           link.set_preserve_order(ordered);
@@ -196,7 +201,7 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   std::int64_t sent = 0;
   std::int64_t engage_watermark = -1;
   monitor::LgActivator activator(bus, kLgTargetLoss);
-  activator.watch(kLinkTarget, [&](int copies) {
+  activator.watch(kLinkTopic, [&](int copies) {
     if (link.lg_enabled() || fallback_started) return;
     link.set_actual_loss_rate(activator.records().back().measured_loss);
     res.retx_copies = copies;
@@ -208,12 +213,8 @@ LifecycleResult run_lifecycle(const LifecycleConfig& cfg) {
   });
 
   // Scripted faults.
-  FaultInjector injector(sim, scenario.script);
-  injector.add_link(kLinkTarget, ge);
-  injector.add_bus(kBusTarget, &bus);
-  injector.add_monitor(kMonitorTarget, &daemon);
-  if (prober) injector.add_prober(kProbeTarget, prober.get());
-  injector.arm();
+  FaultInjector injector(sim, scenario.script,
+                         {ge, &bus, &daemon, prober.get()});
 
   // Traffic: paced injection at kOfferedLoad x line rate, one
   // self-rescheduling event. Stops kDrain before the horizon so in-flight

@@ -17,7 +17,7 @@ Scenario onset() {
   s.description =
       "healthy link suddenly corrupting at 1e-3: detection -> live "
       "LinkGuardian switchover, zero loss after protection engages";
-  s.script.ber_step(msec(20), kLinkTarget, 1e-3);
+  s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(100);
   s.peak_rate = 1e-3;
@@ -30,8 +30,8 @@ Scenario ramp() {
   s.description =
       "log-linear degradation 1e-5 -> 3e-2 then recovery: drives "
       "AutoFallback ordered -> NB -> off and back up with hysteresis";
-  s.script.ber_ramp(msec(10), kLinkTarget, 1e-5, 3e-2, msec(40), msec(2));
-  s.script.ber_ramp(msec(60), kLinkTarget, 3e-2, 1e-5, msec(40), msec(2));
+  s.script.ber_ramp(msec(10), 1e-5, 3e-2, msec(40), msec(2));
+  s.script.ber_ramp(msec(60), 3e-2, 1e-5, msec(40), msec(2));
   s.onset = msec(10);
   s.horizon = msec(130);
   s.peak_rate = 3e-2;
@@ -44,10 +44,10 @@ Scenario flap_storm() {
   s.description =
       "low-rate corruption plus three hard down/up flaps: stresses era "
       "switchover and mass loss recovery under an already-protected link";
-  s.script.ber_step(msec(5), kLinkTarget, 2e-4);
-  s.script.link_flap(msec(30), kLinkTarget, msec(2));
-  s.script.link_flap(msec(45), kLinkTarget, msec(1));
-  s.script.link_flap(msec(60), kLinkTarget, msec(3));
+  s.script.ber_step(msec(5), 2e-4);
+  s.script.link_flap(msec(30), msec(2));
+  s.script.link_flap(msec(45), msec(1));
+  s.script.link_flap(msec(60), msec(3));
   s.onset = msec(5);
   s.horizon = msec(95);
   s.peak_rate = 1.0;
@@ -61,8 +61,8 @@ Scenario burst_episode() {
       "Gilbert-Elliott burst window (mean burst 4 frames, avg 5e-3) on an "
       "otherwise healthy link, then restoration";
   s.script.gilbert_episode(
-      msec(20), kLinkTarget,
-      net::GilbertElliottLoss::for_rate(5e-3, /*mean_burst=*/4.0), msec(30));
+      msec(20), net::GilbertElliottLoss::for_rate(5e-3, /*mean_burst=*/4.0),
+      msec(30));
   s.onset = msec(20);
   s.horizon = msec(100);
   s.peak_rate = 5e-3;
@@ -75,8 +75,8 @@ Scenario monitor_blind() {
   s.description =
       "corruption onset inside a counter-poll stall window: detection is "
       "delayed until the driver responds again (blind-interval latency)";
-  s.script.poll_stall(msec(15), kMonitorTarget, msec(30));
-  s.script.ber_step(msec(20), kLinkTarget, 1e-3);
+  s.script.poll_stall(msec(15), msec(30));
+  s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(120);
   s.peak_rate = 1e-3;
@@ -89,8 +89,8 @@ Scenario bus_outage() {
   s.description =
       "corruption onset during a pub-sub outage: the first notification is "
       "dropped; corruptd's renotify timer engages protection after recovery";
-  s.script.bus_outage(msec(15), kBusTarget, msec(25));
-  s.script.ber_step(msec(20), kLinkTarget, 1e-3);
+  s.script.bus_outage(msec(15), msec(25));
+  s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(120);
   s.peak_rate = 1e-3;
@@ -105,8 +105,8 @@ Scenario probe_outage() {
       "goes evidence-blind (unknown, not 0%) and detection waits for the "
       "probe stream to resume. Oracle-fed runs have no prober, so the stall "
       "is unbound there and this degenerates to a plain onset";
-  s.script.probe_stall(msec(15), kProbeTarget, msec(30));
-  s.script.ber_step(msec(20), kLinkTarget, 1e-3);
+  s.script.probe_stall(msec(15), msec(30));
+  s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(120);
   s.peak_rate = 1e-3;

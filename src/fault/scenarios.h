@@ -3,10 +3,10 @@
 // Each scenario is a FaultScript plus the metadata an experiment needs to
 // interpret it: the corruption onset time (the reference point for detection
 // latency), the peak scripted loss rate, and a suggested run horizon. All
-// scripts address the canonical single-link lifecycle topology by the handle
-// names "link0" (the corrupting link's loss process), "bus0" (the corruptd
-// pub-sub bus) and "mon0" (the corruptd daemon); scenarios that don't use a
-// handle simply leave it untouched.
+// scripts address the canonical single-link lifecycle topology through the
+// injector's FaultTargets (the corrupting link's loss process, the corruptd
+// pub-sub bus and daemon, the link prober); scenarios that don't use a
+// target simply leave it untouched.
 #pragma once
 
 #include <string>
@@ -27,12 +27,6 @@ struct Scenario {
   /// Peak marginal loss rate the script drives (1.0 for a hard link flap).
   double peak_rate = 0.0;
 };
-
-/// Canonical target handle names used by every catalogue scenario.
-inline constexpr const char* kLinkTarget = "link0";
-inline constexpr const char* kBusTarget = "bus0";
-inline constexpr const char* kMonitorTarget = "mon0";
-inline constexpr const char* kProbeTarget = "probe0";
 
 /// Builds a catalogue scenario by name; throws std::invalid_argument for an
 /// unknown name. Names: "onset", "ramp", "flap-storm", "burst-episode",

@@ -36,6 +36,9 @@ inline constexpr BitRate kRecircDrainRate = gbps(100);
 inline constexpr SimTime kPfcRefreshPeriod = usec(1);
 /// LinkGuardian data/ACK header bytes added to protected packets (§3.5).
 inline constexpr std::int32_t kLgHeaderBytes = 3;
+/// Number of consecutive losses one loss notification can request; the
+/// implementation provisions 5 one-bit reTxReqs registers (§3.5).
+inline constexpr int kMaxConsecutiveRetx = 5;
 /// Assumed per-pipe forwarding capacity in packets/s, used only to express
 /// recirculation overhead as a percentage (Table 4). The paper states its
 /// 10 Mpps timer stream is ~1% of pipeline capacity => ~1 Gpps.
@@ -83,9 +86,6 @@ struct LgConfig {
   /// Byte capacity of the recirculation buffer (the paper restricts the
   /// testbed switches to 200 KB).
   std::int64_t recirc_buffer_bytes = 200'000;
-  /// Number of consecutive losses one loss notification can request; the
-  /// implementation provisions 5 one-bit reTxReqs registers (§3.5).
-  int max_consecutive_retx = 5;
   /// Copies of each loss notification sent (reverse-direction robustness,
   /// relevant under bidirectional corruption, §5).
   int loss_notif_copies = 1;

@@ -106,10 +106,10 @@ void LgSender::handle_reverse(const net::Packet& p) {
     const std::int64_t first =
         resolve_virtual(SeqEra{p.lg_notif.first_missing, p.lg_notif.first_missing_era},
                         latest_rx_v_ >= 0 ? latest_rx_v_ : next_v_ - 1);
-    // The hardware provisions cfg_.max_consecutive_retx one-bit reTxReqs
+    // The hardware provisions kMaxConsecutiveRetx one-bit reTxReqs
     // registers; a wider gap can only mark that many (§3.5).
     const int markable =
-        std::min<std::int64_t>(p.lg_notif.count, cfg_.max_consecutive_retx);
+        std::min<std::int64_t>(p.lg_notif.count, kMaxConsecutiveRetx);
     obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kLossNotif, trace_actor_,
               first, markable, /*aux=received*/ 1);
     if (p.lg_notif.count > markable)

@@ -34,8 +34,7 @@ namespace lgsim::monitor {
 ///
 /// Fault hooks (driven by src/fault's FaultInjector): set_drop(true) opens an
 /// outage window during which published notifications vanish (counted, still
-/// recorded in history()); set_extra_delay() adds injected control-plane
-/// latency on top of the configured hop delay.
+/// recorded in history()).
 class PubSubBus {
  public:
   struct Notification {
@@ -61,13 +60,8 @@ class PubSubBus {
   void set_delay(SimTime d) { delay_ = d; }
   SimTime delay() const { return delay_; }
 
-  /// Fault injection: additional latency on top of the hop delay.
-  void set_extra_delay(SimTime d) { extra_delay_ = d; }
-  SimTime extra_delay() const { return extra_delay_; }
-
   /// Fault injection: while true, published notifications are dropped.
   void set_drop(bool drop) { drop_ = drop; }
-  bool dropping() const { return drop_; }
 
   void subscribe(const std::string& topic, Handler h) {
     subs_[topic].push_back(std::move(h));
@@ -80,8 +74,7 @@ class PubSubBus {
       ++counters_.dropped;
       return;
     }
-    const SimTime hop = delay_ + extra_delay_;
-    if (hop <= 0 || sim_ == nullptr) {
+    if (delay_ <= 0 || sim_ == nullptr) {
       deliver(n);
       return;
     }
@@ -89,7 +82,7 @@ class PubSubBus {
     // Init-capture: a plain `[this, n]` capture of the const reference would
     // make the member const and demote the closure's move to a throwing
     // string copy, which the event kernel's nothrow-move contract rejects.
-    sim_->schedule_in(hop, [this, m = n] { deliver(m); });
+    sim_->schedule_in(delay_, [this, m = n] { deliver(m); });
   }
 
   const std::vector<Notification>& history() const { return history_; }
@@ -105,7 +98,6 @@ class PubSubBus {
 
   Simulator* sim_ = nullptr;
   SimTime delay_ = 0;
-  SimTime extra_delay_ = 0;
   bool drop_ = false;
   std::map<std::string, std::vector<Handler>> subs_;
   std::vector<Notification> history_;
@@ -182,7 +174,6 @@ class Corruptd {
   /// stall clears, the next successful poll reads the cumulative counters,
   /// so the whole blind window arrives as one large delta.
   void set_counter_stall(bool stalled) { stalled_ = stalled; }
-  bool counter_stalled() const { return stalled_; }
 
  private:
   struct Window {

@@ -27,12 +27,6 @@ class LossModel {
   virtual bool lose(SimTime now, const Packet& p) = 0;
 };
 
-/// No corruption: a healthy link.
-class NoLoss final : public LossModel {
- public:
-  bool lose(SimTime, const Packet&) override { return false; }
-};
-
 /// A loss process whose intensity can be re-aimed while the simulation runs —
 /// the time-varying drive API the fault-injection subsystem (src/fault) uses
 /// to script link degradation. Two orthogonal controls:

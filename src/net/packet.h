@@ -75,10 +75,9 @@ struct RdmaHeader {
   bool last = false;          // last packet of the message
 };
 
-/// PFC pause/resume payload: which priority class to pause.
+/// PFC pause/resume payload.
 struct PfcHeader {
   bool valid = false;
-  std::uint8_t prio_class = 0;
   bool pause = false;         // true = pause, false = resume
 };
 

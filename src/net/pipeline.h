@@ -42,13 +42,4 @@ class PipelineDelay {
   PacketPool pool_;
 };
 
-/// Ingress frame counters (what corruptd polls: framesRxOk / framesRxAll).
-/// `framesRxAll` counts every frame the MAC saw including corrupted ones; the
-/// port model drops corrupted frames before delivery, so the owner of this
-/// struct feeds it from the link's counters.
-struct MacRxCounters {
-  std::int64_t frames_rx_ok = 0;
-  std::int64_t frames_rx_all = 0;
-};
-
 }  // namespace lgsim::net

@@ -4,7 +4,7 @@
 // The paper compares LinkGuardian against Wharf (link-local FEC); the repo
 // additionally reproduces RIFL (link-layer retransmission, arXiv 2309.08696)
 // and P4-Protect-style 1+1 path duplication (arXiv 2001.11370). All of them
-// reduce to the same four knobs at path level:
+// reduce to the same three knobs at path level:
 //
 //   * capacity fraction — what share of the protected link's line rate is
 //     left for traffic once the scheme's redundancy is paid (Wharf's parity
@@ -13,8 +13,7 @@
 //   * residual loss process — the loss process traffic experiences after the
 //     scheme's recovery, wrapped around the link's raw corruption process,
 //   * added latency — the fixed one-way latency of the scheme's framing /
-//     merge logic,
-//   * ordering — whether delivery order matches send order.
+//     merge logic.
 //
 // plus one accounting knob, provisioned_capacity_x: how much total link
 // capacity the scheme consumes per unit of traffic capacity (2 for 1+1
@@ -88,9 +87,6 @@ class ProtectionScheme {
 
   /// Fixed one-way latency the scheme adds to every delivered frame.
   virtual SimTime added_latency() const { return 0; }
-
-  /// Whether delivery order matches send order.
-  virtual bool preserves_order() const { return true; }
 
   /// Builds the residual loss process around a raw process constructed from
   /// `raw` (each scheme owns its seed discipline for any auxiliary

@@ -170,7 +170,6 @@ class OnePlusOneScheme final : public net::ProtectionScheme {
     return 2.0;
   }
   SimTime added_latency() const override { return params_.merge_latency; }
-  bool preserves_order() const override { return params_.path_skew == 0; }
 
   net::ResidualLoss residual(const net::LossSpec& raw) const override {
     net::LossSpec secondary = raw;

@@ -1,13 +1,16 @@
 // Tests for the fault-injection subsystem (src/fault): script semantics,
 // injector timing against live loss models, control-plane fault hooks
-// (pub-sub bus outages/delays, corruptd poll stalls), the phy-backed
-// attenuation bridge, and the closed-loop lifecycle experiment.
+// (pub-sub bus hop delay and outages, corruptd poll stalls), the scenario
+// catalogue, and the closed-loop lifecycle experiment.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/injector.h"
@@ -25,9 +28,9 @@ namespace {
 
 TEST(FaultScript, StableSortKeepsAppendOrderForSameTimeEvents) {
   FaultScript s;
-  s.ber_step(usec(20), "l", 1e-3);
-  s.ber_step(usec(10), "l", 1e-4);   // earlier, appended later
-  s.ber_step(usec(10), "l", 1e-5);   // same time: must stay after the 1e-4
+  s.ber_step(usec(20), 1e-3);
+  s.ber_step(usec(10), 1e-4);   // earlier, appended later
+  s.ber_step(usec(10), 1e-5);   // same time: must stay after the 1e-4
   s.stable_sort_by_time();
   const auto& e = s.events();
   ASSERT_EQ(e.size(), 3u);
@@ -38,31 +41,81 @@ TEST(FaultScript, StableSortKeepsAppendOrderForSameTimeEvents) {
   EXPECT_EQ(e[2].at, usec(20));
 }
 
-TEST(FaultScript, EndTimeIncludesDurationTails) {
-  FaultScript s;
-  s.ber_step(msec(1), "l", 1e-3);
-  s.gilbert_episode(msec(2), "l", net::GilbertElliottLoss::for_rate(1e-2, 3),
-                    msec(30));
-  EXPECT_EQ(s.end_time(), msec(32));
-}
-
 TEST(FaultScript, LinkFlapEmitsDownThenUp) {
   FaultScript s;
-  s.link_flap(usec(10), "l", usec(5));
+  s.link_flap(usec(10), usec(5));
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s.events()[0].kind, FaultKind::kLinkDown);
   EXPECT_EQ(s.events()[1].kind, FaultKind::kLinkUp);
   EXPECT_EQ(s.events()[1].at, usec(15));
 }
 
+TEST(FaultScript, BuildersRejectInvalidInput) {
+  using P = net::GilbertElliottLoss::Params;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Default GE params with one field set to `v`.
+  const auto ge = [](double P::*field, double v) {
+    P p;
+    p.*field = v;
+    return p;
+  };
+  const std::pair<const char*, std::function<void(FaultScript&)>> bad[] = {
+      {"at", [](FaultScript& s) { s.ber_step(-1, 1e-3); }},
+      {"at", [](FaultScript& s) { s.ber_ramp(-1, 1e-5, 1e-3, 10, 1); }},
+      {"at", [](FaultScript& s) { s.link_flap(-1, usec(1)); }},
+      {"at", [](FaultScript& s) { s.bus_outage(-1, usec(1)); }},
+      {"at", [](FaultScript& s) { s.poll_stall(-1, usec(1)); }},
+      {"at", [](FaultScript& s) { s.probe_stall(-1, usec(1)); }},
+      {"at", [](FaultScript& s) { s.gilbert_episode(-1, P{}, usec(1)); }},
+      {"duration", [](FaultScript& s) { s.ber_ramp(0, 1e-5, 1e-3, -1, 1); }},
+      {"duration", [](FaultScript& s) { s.gilbert_episode(0, P{}, -1); }},
+      {"duration", [](FaultScript& s) { s.link_flap(0, -1); }},
+      {"duration", [](FaultScript& s) { s.bus_outage(0, -1); }},
+      {"duration", [](FaultScript& s) { s.poll_stall(0, -1); }},
+      {"duration", [](FaultScript& s) { s.probe_stall(0, -1); }},
+      {"step", [](FaultScript& s) { s.ber_ramp(0, 1e-5, 1e-3, 10, -1); }},
+      {"rate", [](FaultScript& s) { s.ber_step(0, -1e-3); }},
+      {"rate", [](FaultScript& s) { s.ber_step(0, 1.5); }},
+      {"rate", [nan](FaultScript& s) { s.ber_step(0, nan); }},
+      {"from", [nan](FaultScript& s) { s.ber_ramp(0, nan, 1e-3, 10, 1); }},
+      {"from", [](FaultScript& s) { s.ber_ramp(0, -1e-5, 1e-3, 10, 1); }},
+      {"to", [](FaultScript& s) { s.ber_ramp(0, 1e-5, 2.0, 10, 1); }},
+      {"ge",
+       [ge](FaultScript& s) {
+         s.gilbert_episode(0, ge(&P::p_good_to_bad, -0.1), 1);
+       }},
+      {"ge",
+       [ge](FaultScript& s) {
+         s.gilbert_episode(0, ge(&P::p_bad_to_good, 1.1), 1);
+       }},
+      {"ge",
+       [ge, nan](FaultScript& s) {
+         s.gilbert_episode(0, ge(&P::loss_good, nan), 1);
+       }},
+      {"ge",
+       [ge](FaultScript& s) {
+         s.gilbert_episode(0, ge(&P::loss_bad, 2.0), 1);
+       }},
+  };
+  for (const auto& [what, build] : bad) {
+    FaultScript s;
+    try {
+      build(s);
+      ADD_FAILURE() << "accepted a script with bad " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(s.empty()) << what;
+  }
+}
+
 TEST(FaultInjector, BerStepAppliesAtExactTime) {
   Simulator sim;
   net::BernoulliLoss loss(0.0, Rng(1));
   FaultScript s;
-  s.ber_step(usec(10), "l", 1e-2);
-  FaultInjector inj(sim, std::move(s));
-  inj.add_link("l", &loss);
-  inj.arm();
+  s.ber_step(usec(10), 1e-2);
+  FaultInjector inj(sim, std::move(s), {&loss});
 
   double before = -1.0, after = -1.0;
   sim.schedule_at(usec(9), [&] { before = loss.driven_rate(); });
@@ -71,24 +124,27 @@ TEST(FaultInjector, BerStepAppliesAtExactTime) {
 
   EXPECT_DOUBLE_EQ(before, 0.0);
   EXPECT_DOUBLE_EQ(after, 1e-2);
-  ASSERT_EQ(inj.log().size(), 1u);
-  EXPECT_EQ(inj.log()[0].at, usec(10));
-  EXPECT_DOUBLE_EQ(inj.log()[0].value, 1e-2);
   EXPECT_EQ(inj.stats().applied, 1);
   EXPECT_EQ(inj.stats().unbound, 0);
 }
 
 TEST(FaultInjector, UnboundTargetIsCountedNotFatal) {
   Simulator sim;
+  net::BernoulliLoss loss(0.0, Rng(1));
   FaultScript s;
-  s.ber_step(usec(1), "nonexistent", 1e-3);
-  s.bus_outage(usec(2), "no-bus", usec(1));
-  FaultInjector inj(sim, std::move(s));
-  inj.arm();
+  s.ber_step(usec(1), 1e-3);
+  s.bus_outage(usec(2), usec(1));
+  // A GE episode needs a Gilbert-Elliott link; a Bernoulli one is unbound.
+  s.gilbert_episode(usec(3), net::GilbertElliottLoss::for_rate(1e-2, 3),
+                    usec(1));
+  FaultInjector none(sim, s, {});
+  FaultInjector link_only(sim, s, {&loss});
   sim.run();
-  EXPECT_EQ(inj.stats().applied, 0);
-  EXPECT_EQ(inj.stats().unbound, 3);  // step + outage start + outage end
-  EXPECT_TRUE(inj.log().empty());
+  EXPECT_EQ(none.stats().applied, 0);
+  EXPECT_EQ(none.stats().unbound, 4);  // step, outage start/end, episode
+  EXPECT_EQ(link_only.stats().applied, 1);
+  EXPECT_EQ(link_only.stats().unbound, 3);
+  EXPECT_DOUBLE_EQ(loss.driven_rate(), 1e-3);
 }
 
 TEST(FaultInjector, LogRampIsMonotonicAndLandsExactlyOnEndpoint) {
@@ -97,10 +153,8 @@ TEST(FaultInjector, LogRampIsMonotonicAndLandsExactlyOnEndpoint) {
   FaultScript s;
   const SimTime step = usec(10);
   const SimTime duration = usec(100);  // 10 steps
-  s.ber_ramp(usec(50), "l", 1e-5, 1e-2, duration, step, RampShape::kLog);
-  FaultInjector inj(sim, std::move(s));
-  inj.add_link("l", &loss);
-  inj.arm();
+  s.ber_ramp(usec(50), 1e-5, 1e-2, duration, step);
+  FaultInjector inj(sim, std::move(s), {&loss});
 
   std::vector<double> samples;
   for (int k = 0; k <= 10; ++k) {
@@ -126,10 +180,8 @@ TEST(FaultInjector, DegenerateRampIsASingleStepToTheEndpoint) {
   Simulator sim;
   net::BernoulliLoss loss(0.0, Rng(1));
   FaultScript s;
-  s.ber_ramp(usec(5), "l", 1e-4, 1e-2, /*duration=*/0, /*step=*/0);
-  FaultInjector inj(sim, std::move(s));
-  inj.add_link("l", &loss);
-  inj.arm();
+  s.ber_ramp(usec(5), 1e-4, 1e-2, /*duration=*/0, /*step=*/0);
+  FaultInjector inj(sim, std::move(s), {&loss});
   sim.run();
   EXPECT_DOUBLE_EQ(loss.driven_rate(), 1e-2);
   EXPECT_EQ(inj.stats().applied, 1);
@@ -144,10 +196,8 @@ TEST(FaultInjector, LinkFlapLosesEveryFrameWithoutShiftingTheRng) {
   net::BernoulliLoss flapped(0.1, Rng(7));
   net::BernoulliLoss control(0.1, Rng(7));
   FaultScript s;
-  s.link_flap(usec(40), "l", usec(20));  // down for frames at t in [40, 60)
-  FaultInjector inj(sim, std::move(s));
-  inj.add_link("l", &flapped);
-  inj.arm();
+  s.link_flap(usec(40), usec(20));  // down for frames at t in [40, 60)
+  FaultInjector inj(sim, std::move(s), {&flapped});
 
   std::vector<int> flapped_lost(100, -1), control_lost(100, -1);
   for (int i = 0; i < 100; ++i) {
@@ -181,10 +231,8 @@ TEST(FaultInjector, GilbertEpisodeAppliesThenRestoresSavedParams) {
   const auto episode = net::GilbertElliottLoss::for_rate(0.5, 3.0);
 
   FaultScript s;
-  s.gilbert_episode(usec(10), "l", episode, usec(20));
-  FaultInjector inj(sim, std::move(s));
-  inj.add_link("l", &ge);
-  inj.arm();
+  s.gilbert_episode(usec(10), episode, usec(20));
+  FaultInjector inj(sim, std::move(s), {&ge});
 
   double during_b2g = -1.0, after_g2b = -1.0;
   sim.schedule_at(usec(15), [&] { during_b2g = ge.params().p_bad_to_good; });
@@ -193,10 +241,10 @@ TEST(FaultInjector, GilbertEpisodeAppliesThenRestoresSavedParams) {
 
   EXPECT_DOUBLE_EQ(during_b2g, episode.p_bad_to_good);  // mean burst 3
   EXPECT_DOUBLE_EQ(after_g2b, 0.0);                     // healthy restored
-  EXPECT_EQ(inj.stats().applied, 2);  // apply + restore are both logged
+  EXPECT_EQ(inj.stats().applied, 2);  // apply + restore are both recorded
 }
 
-TEST(PubSubBus, DeferredDeliveryHonoursHopPlusInjectedDelay) {
+TEST(PubSubBus, DeferredDeliveryHonoursHopDelay) {
   Simulator sim;
   monitor::PubSubBus bus;
   bus.bind(sim);
@@ -207,19 +255,13 @@ TEST(PubSubBus, DeferredDeliveryHonoursHopPlusInjectedDelay) {
     delivered_at.push_back(sim.now());
   });
 
-  FaultScript s;
-  s.bus_delay(usec(100), "b", usec(25));
-  FaultInjector inj(sim, std::move(s));
-  inj.add_bus("b", &bus);
-  inj.arm();
-
   sim.schedule_at(usec(10), [&] { bus.publish({"t", 1e-3, sim.now()}); });
   sim.schedule_at(usec(200), [&] { bus.publish({"t", 1e-3, sim.now()}); });
   sim.run();
 
   ASSERT_EQ(delivered_at.size(), 2u);
-  EXPECT_EQ(delivered_at[0], usec(60));   // hop delay only
-  EXPECT_EQ(delivered_at[1], usec(275));  // hop + injected extra
+  EXPECT_EQ(delivered_at[0], usec(60));
+  EXPECT_EQ(delivered_at[1], usec(250));
   EXPECT_EQ(bus.counters().deferred, 2);
   EXPECT_EQ(bus.counters().delivered, 2);
 }
@@ -251,10 +293,8 @@ TEST(PubSubBus, OutageWindowDropsThenRenotifyRecovers) {
   }
 
   FaultScript s;
-  s.bus_outage(usec(1), "b", msec(10));  // first notifications vanish
-  FaultInjector inj(sim, std::move(s));
-  inj.add_bus("b", &bus);
-  inj.arm();
+  s.bus_outage(usec(1), msec(10));  // first notifications vanish
+  FaultInjector inj(sim, std::move(s), {.bus = &bus});
 
   std::vector<SimTime> got;
   bus.subscribe("link", [&](const monitor::PubSubBus::Notification&) {
@@ -290,10 +330,8 @@ TEST(Corruptd, PollStallIsABlindWindowClearedAsOneDelta) {
   }
 
   FaultScript s;
-  s.poll_stall(usec(1), "m", msec(10));
-  FaultInjector inj(sim, std::move(s));
-  inj.add_monitor("m", &daemon);
-  inj.arm();
+  s.poll_stall(usec(1), msec(10));
+  FaultInjector inj(sim, std::move(s), {.monitor = &daemon});
 
   sim.run(msec(21));
   daemon.stop();
@@ -313,7 +351,8 @@ TEST(Scenarios, CatalogueBuildsAndUnknownNameThrows) {
     EXPECT_EQ(sc.name, name);
     EXPECT_FALSE(sc.script.empty()) << name;
     EXPECT_GT(sc.horizon, sc.onset) << name;
-    EXPECT_GE(sc.horizon, sc.script.end_time()) << name;
+    for (const FaultEvent& e : sc.script.events())
+      EXPECT_GE(sc.horizon, e.at + e.duration) << name;
     EXPECT_GT(sc.peak_rate, 0.0) << name;
   }
   EXPECT_THROW(make_scenario("no-such-scenario"), std::invalid_argument);

@@ -207,7 +207,6 @@ TEST(LgProtocol, ConsecutiveLossesRecovered) {
 
 TEST(LgProtocol, GapWiderThanRetxRegistersFallsBackToTimeout) {
   Harness h;
-  h.cfg.max_consecutive_retx = 5;
   h.make();
   h.drop_frames({1, 2, 3, 4, 5, 6, 7});  // 7 consecutive losses
   h.inject(10);

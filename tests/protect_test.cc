@@ -196,11 +196,6 @@ TEST(OnePlusOneScheme, PathKnobs) {
   EXPECT_DOUBLE_EQ(scheme.capacity_fraction(at), 1.0);
   EXPECT_DOUBLE_EQ(scheme.provisioned_capacity_x(at), 2.0);
   EXPECT_EQ(scheme.added_latency(), scheme.params().merge_latency);
-  EXPECT_TRUE(scheme.preserves_order());
-
-  ProtectParams skewed;
-  skewed.path_skew = usec(1);
-  EXPECT_FALSE(OnePlusOneScheme(skewed).preserves_order());
 
   // The residual masks a lossy working path with the healthy secondary; the
   // drivable handle is the working path (what fault scripts degrade).

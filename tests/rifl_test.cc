@@ -167,7 +167,6 @@ TEST(RiflScheme, PathKnobs) {
   EXPECT_STREQ(scheme.name(), "rifl");
   EXPECT_DOUBLE_EQ(scheme.capacity_fraction(at), 0.9375 * 0.99);
   EXPECT_EQ(scheme.added_latency(), scheme.params().framing_latency);
-  EXPECT_TRUE(scheme.preserves_order());
   EXPECT_NEAR(scheme.provisioned_capacity_x(at),
               1.0 / (0.9375 * 0.99), 1e-12);
 

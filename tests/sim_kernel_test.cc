@@ -148,8 +148,11 @@ TEST(SimKernel, SameTimestampFifoAtScale) {
   // All t=50 events (i % 3 == 0) first, in schedule order; then t=100 ones.
   std::size_t k = 0;
   for (int i = 0; i < 3000; i += 3) EXPECT_EQ(order[k++], i);
-  for (int i = 0; i < 3000; ++i)
-    if (i % 3 != 0) EXPECT_EQ(order[k++], i);
+  for (int i = 0; i < 3000; ++i) {
+    if (i % 3 != 0) {
+      EXPECT_EQ(order[k++], i);
+    }
+  }
 }
 
 TEST(SimKernel, RandomizedTimesPopInStableSortedOrder) {
@@ -170,8 +173,9 @@ TEST(SimKernel, RandomizedTimesPopInStableSortedOrder) {
   ASSERT_EQ(fired.size(), 10000u);
   for (std::size_t i = 1; i < fired.size(); ++i) {
     ASSERT_LE(fired[i - 1].t, fired[i].t);
-    if (fired[i - 1].t == fired[i].t)
+    if (fired[i - 1].t == fired[i].t) {
       ASSERT_LT(fired[i - 1].seq, fired[i].seq) << "FIFO tie-break violated";
+    }
   }
 }
 

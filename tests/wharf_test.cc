@@ -101,7 +101,6 @@ TEST(WharfScheme, PathKnobsTrackParamsForRate) {
   EXPECT_DOUBLE_EQ(scheme.capacity_fraction(spec),
                    wharf_params_for(1e-2).capacity_fraction());
   EXPECT_EQ(scheme.added_latency(), 0);
-  EXPECT_TRUE(scheme.preserves_order());
 }
 
 // Wharf wrapped around a bursty raw process: the block code recovers far
