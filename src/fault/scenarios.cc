@@ -11,105 +11,91 @@ namespace {
 // Onset rates sit well above the detection threshold so a single poll window
 // after onset is enough to detect.
 
+// Healthy link suddenly corrupting at 1e-3: detection -> live LinkGuardian
+// switchover, zero loss after protection engages.
 Scenario onset() {
   Scenario s;
   s.name = "onset";
-  s.description =
-      "healthy link suddenly corrupting at 1e-3: detection -> live "
-      "LinkGuardian switchover, zero loss after protection engages";
   s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(100);
-  s.peak_rate = 1e-3;
   return s;
 }
 
+// Log-linear degradation 1e-5 -> 3e-2 then recovery: drives AutoFallback
+// ordered -> NB -> off and back up with hysteresis.
 Scenario ramp() {
   Scenario s;
   s.name = "ramp";
-  s.description =
-      "log-linear degradation 1e-5 -> 3e-2 then recovery: drives "
-      "AutoFallback ordered -> NB -> off and back up with hysteresis";
   s.script.ber_ramp(msec(10), 1e-5, 3e-2, msec(40), msec(2));
   s.script.ber_ramp(msec(60), 3e-2, 1e-5, msec(40), msec(2));
   s.onset = msec(10);
   s.horizon = msec(130);
-  s.peak_rate = 3e-2;
   return s;
 }
 
+// Low-rate corruption plus three hard down/up flaps: stresses era switchover
+// and mass loss recovery under an already-protected link.
 Scenario flap_storm() {
   Scenario s;
   s.name = "flap-storm";
-  s.description =
-      "low-rate corruption plus three hard down/up flaps: stresses era "
-      "switchover and mass loss recovery under an already-protected link";
   s.script.ber_step(msec(5), 2e-4);
   s.script.link_flap(msec(30), msec(2));
   s.script.link_flap(msec(45), msec(1));
   s.script.link_flap(msec(60), msec(3));
   s.onset = msec(5);
   s.horizon = msec(95);
-  s.peak_rate = 1.0;
   return s;
 }
 
+// Gilbert-Elliott burst window (mean burst 4 frames, avg 5e-3) on an
+// otherwise healthy link, then restoration.
 Scenario burst_episode() {
   Scenario s;
   s.name = "burst-episode";
-  s.description =
-      "Gilbert-Elliott burst window (mean burst 4 frames, avg 5e-3) on an "
-      "otherwise healthy link, then restoration";
   s.script.gilbert_episode(
       msec(20), net::GilbertElliottLoss::for_rate(5e-3, /*mean_burst=*/4.0),
       msec(30));
   s.onset = msec(20);
   s.horizon = msec(100);
-  s.peak_rate = 5e-3;
   return s;
 }
 
+// Corruption onset inside a counter-poll stall window: detection is delayed
+// until the driver responds again (blind-interval latency).
 Scenario monitor_blind() {
   Scenario s;
   s.name = "monitor-blind";
-  s.description =
-      "corruption onset inside a counter-poll stall window: detection is "
-      "delayed until the driver responds again (blind-interval latency)";
   s.script.poll_stall(msec(15), msec(30));
   s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(120);
-  s.peak_rate = 1e-3;
   return s;
 }
 
+// Corruption onset during a pub-sub outage: the first notification is
+// dropped; corruptd's renotify timer engages protection after recovery.
 Scenario bus_outage() {
   Scenario s;
   s.name = "bus-outage";
-  s.description =
-      "corruption onset during a pub-sub outage: the first notification is "
-      "dropped; corruptd's renotify timer engages protection after recovery";
   s.script.bus_outage(msec(15), msec(25));
   s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(120);
-  s.peak_rate = 1e-3;
   return s;
 }
 
+// Corruption onset while the telemetry prober is wedged: the estimator goes
+// evidence-blind (unknown, not 0%) and detection waits for the probe stream
+// to resume. Oracle-fed runs have no prober, so the stall is unbound there
+// and this degenerates to a plain onset.
 Scenario probe_outage() {
   Scenario s;
   s.name = "probe-outage";
-  s.description =
-      "corruption onset while the telemetry prober is wedged: the estimator "
-      "goes evidence-blind (unknown, not 0%) and detection waits for the "
-      "probe stream to resume. Oracle-fed runs have no prober, so the stall "
-      "is unbound there and this degenerates to a plain onset";
   s.script.probe_stall(msec(15), msec(30));
   s.script.ber_step(msec(20), 1e-3);
   s.onset = msec(20);
   s.horizon = msec(120);
-  s.peak_rate = 1e-3;
   return s;
 }
 

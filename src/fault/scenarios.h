@@ -2,7 +2,7 @@
 //
 // Each scenario is a FaultScript plus the metadata an experiment needs to
 // interpret it: the corruption onset time (the reference point for detection
-// latency), the peak scripted loss rate, and a suggested run horizon. All
+// latency) and a suggested run horizon. All
 // scripts address the canonical single-link lifecycle topology through the
 // injector's FaultTargets (the corrupting link's loss process, the corruptd
 // pub-sub bus and daemon, the link prober); scenarios that don't use a
@@ -18,14 +18,11 @@ namespace lgsim::fault {
 
 struct Scenario {
   std::string name;
-  std::string description;
   FaultScript script;
   /// When corruption starts (detection latency = detected_at - onset).
   SimTime onset = 0;
   /// Suggested traffic/run horizon covering the whole script plus recovery.
   SimTime horizon = 0;
-  /// Peak marginal loss rate the script drives (1.0 for a hard link flap).
-  double peak_rate = 0.0;
 };
 
 /// Builds a catalogue scenario by name; throws std::invalid_argument for an

@@ -66,9 +66,26 @@ class RecordingLoss final : public net::LossModel {
   std::vector<std::uint64_t> lost_original_uids_;
 };
 
+void validate(const FctConfig& cfg) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("FctConfig: ") + what);
+  };
+  if (cfg.trials < 0) fail("trials must be >= 0");
+  if (cfg.trial_bytes.empty() && cfg.flow_bytes <= 0)
+    fail("flow_bytes must be > 0");
+  for (const std::int64_t b : cfg.trial_bytes)
+    if (b <= 0) fail("every trial_bytes entry must be > 0");
+  if (!(cfg.loss_rate >= 0.0 && cfg.loss_rate < 1.0))
+    fail("loss_rate must be in [0, 1)");
+  if (cfg.rate <= 0) fail("rate must be > 0");
+  if (cfg.inter_trial_gap < 0) fail("inter_trial_gap must be >= 0");
+  if (cfg.trial_cap <= 0) fail("trial_cap must be > 0");
+}
+
 }  // namespace
 
 FctResult run_fct(const FctConfig& cfg) {
+  validate(cfg);
   Simulator sim;
   FctResult res;
   res.cfg = cfg;

@@ -6,7 +6,9 @@
 // allocation roughly every other frame even at steady queue depth. The ring grows by doubling (amortized, warmup
 // only) and never shrinks, so a steady-state push/pop cycle allocates
 // nothing — the invariant bench_micro's allocation guard enforces for the
-// port datapath.
+// port datapath. The event kernel's sorted run lane is a RingQueue too; it
+// reads entries by index (`at`) and inserts a few places behind the head
+// (`insert_at`).
 //
 // SeqRing is a map from a 64-bit sequence number to a value, for keys that
 // live in a sliding window: LinkGuardian's Tx buffer, reorder buffer and
@@ -59,6 +61,26 @@ class RingQueue {
     assert(size_ > 0);
     head_ = (head_ + 1) & (buf_.size() - 1);
     --size_;
+  }
+
+  /// The i-th entry from the front.
+  const T& at(std::size_t i) const {
+    assert(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
+  /// Inserts `v` so that it becomes the k-th entry from the front (k <= size).
+  /// The first k entries shift one slot toward the front, so the cost is
+  /// O(k), not O(size): cheap for an insert near the head.
+  void insert_at(std::size_t k, T v) {
+    assert(k <= size_);
+    if (size_ == buf_.size()) grow();
+    const std::size_t mask = buf_.size() - 1;
+    head_ = (head_ - 1) & mask;
+    for (std::size_t i = 0; i < k; ++i)
+      buf_[(head_ + i) & mask] = std::move(buf_[(head_ + i + 1) & mask]);
+    buf_[(head_ + k) & mask] = std::move(v);
+    ++size_;
   }
 
  private:

@@ -110,6 +110,46 @@ TEST(Stress, RejectsInvalidConfigs) {
   EXPECT_EQ(run_stress(empty).forwarded, 0);
 }
 
+// Each config run_fct cannot run is rejected up front, instead of looping on
+// a negative trial count, sending empty flows or dividing by a zero rate.
+TEST(Fct, RejectsInvalidConfigs) {
+  using Mutate = void (*)(FctConfig&);
+  const Mutate bad[] = {
+      [](FctConfig& c) { c.trials = -1; },
+      [](FctConfig& c) { c.flow_bytes = 0; },
+      [](FctConfig& c) { c.flow_bytes = -143; },
+      [](FctConfig& c) { c.trial_bytes = {143, 0}; },
+      [](FctConfig& c) { c.trial_bytes = {-1}; },
+      [](FctConfig& c) { c.loss_rate = -1e-3; },
+      [](FctConfig& c) { c.loss_rate = 1.0; },
+      [](FctConfig& c) { c.loss_rate = std::nan(""); },
+      [](FctConfig& c) { c.rate = 0; },
+      [](FctConfig& c) { c.rate = -gbps(1); },
+      [](FctConfig& c) { c.inter_trial_gap = -1; },
+      [](FctConfig& c) { c.trial_cap = 0; },
+      [](FctConfig& c) { c.trial_cap = -msec(1); },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    FctConfig c;
+    c.trials = 2;
+    bad[i](c);
+    EXPECT_THROW(run_fct(c), std::invalid_argument) << "case " << i;
+  }
+  // The boundary values themselves are valid: no trials, a loss-free link,
+  // back-to-back trials, and trial_bytes overriding a zero flow_bytes.
+  FctConfig none;
+  none.trials = 0;
+  EXPECT_EQ(run_fct(none).fct_us.count(), 0);
+  FctConfig edge;
+  edge.trials = 0;
+  edge.flow_bytes = 0;
+  edge.trial_bytes = {143, 143};
+  edge.loss_rate = 0.0;
+  edge.protection = Protection::kLossOnly;
+  edge.inter_trial_gap = 0;
+  EXPECT_EQ(run_fct(edge).fct_us.count(), 2);
+}
+
 TEST(Fct, NoLossBaselineTight) {
   FctConfig c;
   c.trials = 200;
