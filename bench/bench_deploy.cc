@@ -11,7 +11,7 @@
 //                        a `build` stamp (nproc, compiler, build type) as
 //                        one JSON object — the shape of a trajectory point
 //                        in the committed BENCH_deploy.json.
-//   --smoke=<baseline>   reduced mode for ctest: on a small config the two
+//   --smoke              reduced mode for ctest: on a small config the two
 //                        engines must stay bit-identical and the incremental
 //                        engine must keep a >= 3x wall-clock margin (the
 //                        committed trajectory records ~2 orders; the floor
@@ -129,19 +129,11 @@ int write_bench_json(const char* path) {
 
 /// ctest smoke: small enough for CI (8 pods, 6 weeks), self-contained ratio
 /// — both engines are timed in the same process, so machine speed cancels.
-int run_smoke(const char* baseline_path) {
-  FILE* f = std::fopen(baseline_path, "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_deploy --smoke: cannot read %s\n",
-                 baseline_path);
-    return 1;
-  }
-  std::fclose(f);
+int run_smoke() {
   const Comparison c = compare_engines(8, 6.0);
   constexpr double kFloor = 3.0;
   const bool speed_pass = c.speedup() >= kFloor;
-  std::printf("--- bench_deploy smoke (8 pods, 6 weeks; baseline %s) ---\n",
-              baseline_path);
+  std::printf("--- bench_deploy smoke (8 pods, 6 weeks) ---\n");
   std::printf("%-32s %10.3f s\n", "reference_deployment (oracle)",
               c.reference.sec);
   std::printf("%-32s %10.3f s\n", "incremental engine", c.incremental.sec);
@@ -157,15 +149,14 @@ int run_smoke(const char* baseline_path) {
 int main(int argc, char** argv) {
   lgsim::bench::TraceSession trace_session(argc, argv);
   const char* json_path = nullptr;
-  const char* smoke_path = nullptr;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i] != nullptr ? argv[i] : "";
     if (a.rfind("--bench_json=", 0) == 0)
       json_path = argv[i] + std::strlen("--bench_json=");
-    if (a.rfind("--smoke=", 0) == 0)
-      smoke_path = argv[i] + std::strlen("--smoke=");
+    if (a == "--smoke") smoke = true;
   }
-  if (smoke_path != nullptr) return run_smoke(smoke_path);
+  if (smoke) return run_smoke();
   if (json_path != nullptr) return write_bench_json(json_path);
 
   bench::banner("bench_deploy",

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "util/units.h"
 
@@ -100,6 +102,27 @@ struct LgConfig {
   /// retransmission-delay distribution its measured spread (Fig. 19).
   std::uint64_t jitter_seed = 0x1234abcd;
 };
+
+/// Throws std::invalid_argument("LgConfig: ...") for a value the sender or
+/// receiver cannot run with: they divide lifetimes by recirc_loop, and
+/// retx_copies would cast a NaN loss rate to int.
+inline void validate(const LgConfig& cfg) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("LgConfig: ") + what);
+  };
+  if (cfg.recirc_loop <= 0) fail("recirc_loop must be > 0");
+  if (cfg.ack_no_timeout <= 0) fail("ack_no_timeout must be > 0");
+  if (cfg.resume_threshold <= 0) fail("resume_threshold must be > 0");
+  if (cfg.pause_threshold < cfg.resume_threshold)
+    fail("pause_threshold must be >= resume_threshold");
+  if (cfg.recirc_buffer_bytes <= 0) fail("recirc_buffer_bytes must be > 0");
+  if (cfg.loss_notif_copies < 1) fail("loss_notif_copies must be >= 1");
+  if (cfg.control_copies < 1) fail("control_copies must be >= 1");
+  if (!(cfg.target_loss_rate >= 0.0 && cfg.target_loss_rate <= 1.0))
+    fail("target_loss_rate must be in [0, 1]");
+  if (!(cfg.actual_loss_rate >= 0.0 && cfg.actual_loss_rate <= 1.0))
+    fail("actual_loss_rate must be in [0, 1]");
+}
 
 /// Applies the paper's per-link-speed tuning (Appendix B.1): the measured
 /// maximum retransmission delays (~6 us at 25G, ~5.5 us at 100G) set the

@@ -48,11 +48,13 @@ class ProtectedLink {
  public:
   using SinkFn = std::function<void(net::Packet&&)>;
 
+  /// Throws std::invalid_argument for a config lg::validate rejects.
   ProtectedLink(Simulator& sim, const LinkSpec& spec, const LgConfig& cfg)
       : sim_(sim),
         cfg_(cfg),
         fwd_port_(sim, spec.name + ".fwd", spec.rate, spec.prop_delay),
         rev_port_(sim, spec.name + ".rev", spec.rate, spec.prop_delay) {
+    validate(cfg_);
     retx_q_ = fwd_port_.add_queue({});  // highest priority: retransmissions
     normal_q_ = fwd_port_.add_queue(
         {.byte_limit = spec.normal_queue_bytes,
@@ -128,8 +130,14 @@ class ProtectedLink {
   bool preserve_order() const { return cfg_.preserve_order; }
 
   /// Feed the measured loss rate (corruptd's estimate) into Eq. 2: the retx
-  /// copy count the sender uses from the next loss notification on.
-  void set_actual_loss_rate(double rate) { cfg_.actual_loss_rate = rate; }
+  /// copy count the sender uses from the next loss notification on. Throws
+  /// std::invalid_argument for a rate outside [0, 1], NaN included.
+  void set_actual_loss_rate(double rate) {
+    LgConfig next = cfg_;
+    next.actual_loss_rate = rate;
+    validate(next);
+    cfg_.actual_loss_rate = rate;
+  }
 
   const LgConfig& config() const { return cfg_; }
 

@@ -15,8 +15,8 @@
 
 #include "lg/link.h"
 #include "net/loss_model.h"
-#include "net/switch.h"
 #include "sim/simulator.h"
+#include "switch.h"
 
 namespace lgsim {
 namespace {

@@ -5,7 +5,10 @@
 // ackNoTimeout fallback, backpressure, and seqNo wrap-around.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "lg/link.h"
@@ -419,6 +422,53 @@ TEST(LgEq2, RetxCopiesMatchesPaperExamples) {
   // Degenerate inputs clamp to 1 copy.
   EXPECT_EQ(retx_copies(0.0, 1e-8), 1);
   EXPECT_EQ(retx_copies(1e-4, 1e-2), 1);
+}
+
+// Each LgConfig the sender or receiver cannot run with is rejected when the
+// link is built, instead of dividing by a zero recirc_loop or casting a NaN
+// copy count; set_actual_loss_rate applies the same range check.
+TEST(LgConfigValidation, RejectsInvalidValues) {
+  using Mutate = void (*)(LgConfig&);
+  const Mutate bad[] = {
+      [](LgConfig& c) { c.recirc_loop = 0; },
+      [](LgConfig& c) { c.recirc_loop = -nsec(1); },
+      [](LgConfig& c) { c.ack_no_timeout = 0; },
+      [](LgConfig& c) { c.ack_no_timeout = -usec(7); },
+      [](LgConfig& c) { c.resume_threshold = 0; },
+      [](LgConfig& c) { c.resume_threshold = c.pause_threshold = -1; },
+      [](LgConfig& c) { c.pause_threshold = c.resume_threshold - 1; },
+      [](LgConfig& c) { c.recirc_buffer_bytes = 0; },
+      [](LgConfig& c) { c.recirc_buffer_bytes = -1; },
+      [](LgConfig& c) { c.loss_notif_copies = 0; },
+      [](LgConfig& c) { c.control_copies = 0; },
+      [](LgConfig& c) { c.target_loss_rate = -1e-9; },
+      [](LgConfig& c) { c.target_loss_rate = 1.5; },
+      [](LgConfig& c) { c.target_loss_rate = std::nan(""); },
+      [](LgConfig& c) { c.actual_loss_rate = -1e-3; },
+      [](LgConfig& c) { c.actual_loss_rate = 1.0 + 1e-9; },
+      [](LgConfig& c) { c.actual_loss_rate = std::nan(""); },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    Simulator sim;
+    LgConfig c;
+    bad[i](c);
+    EXPECT_THROW(ProtectedLink(sim, LinkSpec{}, c), std::invalid_argument)
+        << "case " << i;
+  }
+  // The boundary values themselves are valid: no pause hysteresis, one copy
+  // of each control message, and loss rates of exactly 0 and 1.
+  Simulator sim;
+  LgConfig edge;
+  edge.pause_threshold = edge.resume_threshold;
+  edge.target_loss_rate = 0.0;
+  edge.actual_loss_rate = 1.0;
+  ProtectedLink link(sim, LinkSpec{}, edge);
+  for (const double rate : {-1e-3, 1.5, std::nan("")})
+    EXPECT_THROW(link.set_actual_loss_rate(rate), std::invalid_argument)
+        << rate;
+  EXPECT_EQ(link.config().actual_loss_rate, 1.0);
+  link.set_actual_loss_rate(0.0);
+  EXPECT_EQ(link.config().actual_loss_rate, 0.0);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "net/loss_model.h"
-#include "net/switch.h"
 #include "sim/simulator.h"
+#include "switch.h"
 
 namespace lgsim {
 namespace {
