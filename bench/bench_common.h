@@ -25,11 +25,11 @@
 namespace lgsim::bench {
 
 inline double scale() {
-  // parse_positive_double rejects NaN/inf/garbage, which std::atof would
+  // parse_positive_double throws on NaN/inf/garbage, which std::atof would
   // happily let through into loop bounds (NaN fails every comparison, so a
   // `for (i < scaled(n))` loop would run zero or forever depending on form).
-  static const double s =
-      parse_positive_double(std::getenv("LGSIM_BENCH_SCALE"), 1.0);
+  static const double s = parse_positive_double(
+      "LGSIM_BENCH_SCALE", std::getenv("LGSIM_BENCH_SCALE"), 1.0);
   return s;
 }
 
@@ -55,11 +55,14 @@ inline void banner(const char* id, const char* title) {
 /// chrome://tracing). The completion note goes to stderr: stdout rows must
 /// stay byte-identical whether or not a trace is being captured.
 ///
-/// Ring capacity per sink is LGSIM_TRACE_CAP records (default 65536; the
-/// ring keeps the newest records and the export reports how many were
-/// evicted).
+/// Ring capacity per sink is LGSIM_TRACE_CAP records (default 65536, at most
+/// kMaxTraceCap; the ring keeps the newest records and the export reports how
+/// many were evicted).
 class TraceSession {
  public:
+  /// Every sink preallocates its ring, one per grid cell.
+  static constexpr unsigned kMaxTraceCap = 1u << 24;
+
   TraceSession(int argc, char** argv) {
     if (const char* env = std::getenv("LGSIM_TRACE"); env != nullptr && *env)
       path_ = env;
@@ -68,9 +71,9 @@ class TraceSession {
       if (a.rfind("--trace=", 0) == 0) path_ = std::string(a.substr(8));
     }
     if (path_.empty()) return;
-    const auto cap = static_cast<std::size_t>(parse_positive_double(
-        std::getenv("LGSIM_TRACE_CAP"),
-        static_cast<double>(obs::kDefaultRingCapacity)));
+    const std::size_t cap = parse_positive_count(
+        "LGSIM_TRACE_CAP", std::getenv("LGSIM_TRACE_CAP"),
+        static_cast<unsigned>(obs::kDefaultRingCapacity), kMaxTraceCap);
     collector_.emplace(cap);
     collector_->install();
     scope_.emplace(collector_->make_sink("main"));

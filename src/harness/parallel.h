@@ -36,12 +36,14 @@
 
 namespace lgsim::harness {
 
-/// Worker count for replication sweeps: LGSIM_BENCH_JOBS if set (strictly
-/// positive integer; garbage falls back), else hardware_concurrency.
+/// Worker count for replication sweeps: LGSIM_BENCH_JOBS if set (an integer
+/// in [1, 1024]; anything else throws std::invalid_argument), else
+/// hardware_concurrency.
 inline unsigned bench_jobs() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
-  return parse_positive_count(std::getenv("LGSIM_BENCH_JOBS"), hw);
+  return parse_positive_count("LGSIM_BENCH_JOBS",
+                              std::getenv("LGSIM_BENCH_JOBS"), hw);
 }
 
 /// Runs `fn(items[i], i)` for every item on up to `jobs` worker threads and

@@ -91,9 +91,9 @@ class ProtectedLink {
   }
 
   /// Traffic to carry over the protected link.
-  void send_forward(net::Packet p) { sender_->send(std::move(p)); }
+  void send_forward(net::Packet&& p) { sender_->send(std::move(p)); }
   /// Regular reverse-direction traffic (ACK info rides on it for free).
-  void send_reverse(net::Packet p) { receiver_->send_reverse(std::move(p)); }
+  void send_reverse(net::Packet&& p) { receiver_->send_reverse(std::move(p)); }
 
   /// Where in-order (or NB out-of-order) packets pop out on the receiver
   /// switch, headed to the rest of the network.

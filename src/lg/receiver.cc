@@ -27,6 +27,7 @@ LgReceiver::LgReceiver(Simulator& sim, const LgConfig& cfg,
 
 void LgReceiver::enable() {
   enabled_ = true;
+  ++enable_gen_;
   latest_rx_v_ = -1;
   ack_no_v_ = 0;
   outstanding_.clear();
@@ -217,9 +218,12 @@ void LgReceiver::handle_protected(net::Packet&& p) {
     if (was_outstanding) credit_recovery();
     buffer_bytes_ += p.frame_bytes;
     ++stats_.reorder_buffered;
-    const SimTime phase = static_cast<SimTime>(
+    // Filled in place; the slot may be recycled, so every field is assigned.
+    Buffered& b = buffer_.claim(v);
+    b.pkt = std::move(p);
+    b.entered_at = sim_.now();
+    b.loop_phase = static_cast<SimTime>(
         jitter_.uniform_int(static_cast<std::uint64_t>(cfg_.recirc_loop)));
-    buffer_.emplace(v, Buffered{std::move(p), sim_.now(), phase});
     backpressure_check();
     advance_ack_no();
     return;
@@ -270,7 +274,11 @@ void LgReceiver::send_notification(std::int64_t from, std::int64_t count) {
 
 void LgReceiver::arm_timeout(std::int64_t v) {
   const SimTime deadline = quantize_up(sim_.now() + cfg_.ack_no_timeout);
-  sim_.schedule_at(deadline, [this, v] { on_timeout(v); });
+  // enable() restarts seqNos at 0: a timeout from an earlier era names a
+  // hole of the current one and must not expire it.
+  sim_.schedule_at(deadline, [this, v, gen = enable_gen_] {
+    if (gen == enable_gen_) on_timeout(v);
+  });
 }
 
 void LgReceiver::on_timeout(std::int64_t v) {
@@ -329,7 +337,10 @@ void LgReceiver::schedule_release() {
     when = std::max(sim_.now(), last_release_ + spacing);
   }
   release_pending_ = true;
-  sim_.schedule_at(when, [this] {
+  // A release from an earlier era is void: enable() cleared release_pending_,
+  // and the current era runs its own chain.
+  sim_.schedule_at(when, [this, gen = enable_gen_] {
+    if (gen != enable_gen_) return;
     release_pending_ = false;
     Buffered* head2 = buffer_.find(ack_no_v_);
     if (head2 == nullptr) {
@@ -339,17 +350,18 @@ void LgReceiver::schedule_release() {
       if (enabled_) advance_ack_no();
       return;
     }
-    Buffered b2 = std::move(*head2);
+    // An erased key's value stays in its slot until the next insert, and
+    // forwarding inserts nothing, so the frame is forwarded from the slot.
     buffer_.erase(ack_no_v_);
-    buffer_bytes_ -= b2.pkt.frame_bytes;
-    const SimTime lifetime = sim_.now() - b2.entered_at;
+    buffer_bytes_ -= head2->pkt.frame_bytes;
+    const SimTime lifetime = sim_.now() - head2->entered_at;
     const std::int64_t loops = lifetime / cfg_.recirc_loop + 1;
     stats_.recirc_loops += loops;
-    stats_.recirc_loop_bytes += loops * b2.pkt.frame_bytes;
+    stats_.recirc_loop_bytes += loops * head2->pkt.frame_bytes;
     last_release_ = sim_.now();
     obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease,
               trace_actor_, ack_no_v_, buffer_bytes_, /*aux=rx buffer*/ 1);
-    forward_now(std::move(b2.pkt));
+    forward_now(std::move(head2->pkt));
     ++ack_no_v_;
     backpressure_check();
     advance_ack_no();
@@ -433,7 +445,7 @@ void LgReceiver::stamp_ack(net::Packet& p) {
   p.lg_ack.era = wire.era;
 }
 
-void LgReceiver::send_reverse(net::Packet p) {
+void LgReceiver::send_reverse(net::Packet&& p) {
   rev_port_.enqueue(rev_normal_q_, std::move(p));
 }
 

@@ -86,7 +86,7 @@ class LgReceiver {
 
   /// Reverse-direction traffic from upstream of the receiver switch; ACK
   /// info is piggybacked onto it at serialization time.
-  void send_reverse(net::Packet p);
+  void send_reverse(net::Packet&& p);
 
   /// PFC backpressure currently asserted toward the sender (Algorithm 2).
   bool backpressured() const { return bp_paused_; }
@@ -133,6 +133,7 @@ class LgReceiver {
 
   ForwardFn forward_;
   bool enabled_ = false;
+  std::uint32_t enable_gen_ = 0;  // enable() count: tags timeouts, releases
   std::int64_t latest_rx_v_ = -1;
   std::int64_t ack_no_v_ = 0;
   // All three are indexed by virtual seqNo.

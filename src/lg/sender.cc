@@ -22,6 +22,7 @@ LgSender::LgSender(Simulator& sim, const LgConfig& cfg, net::EgressPort& port,
 
 void LgSender::enable() {
   enabled_ = true;
+  ++enable_gen_;
   next_v_ = 0;
   latest_rx_v_ = -1;
   sched_lo_ = 0;
@@ -54,7 +55,7 @@ std::int64_t LgSender::resolve_virtual(SeqEra wire, std::int64_t reference) cons
   return reference + seq_distance(wire, to_wire(reference));
 }
 
-void LgSender::send(net::Packet p) {
+void LgSender::send(net::Packet&& p) {
   // Protection is applied at egress (on_transmit): if the normal queue drops
   // this packet to congestion, no sequence number is consumed — LinkGuardian
   // masks corruption loss on the wire, not congestion loss in the queue,
@@ -72,13 +73,15 @@ void LgSender::protect_at_egress(net::Packet& p) {
   p.lg.retransmitted = false;
   p.frame_bytes += kLgHeaderBytes;  // 3-byte LinkGuardian data header
 
-  Buffered b;
-  b.copy = p;  // egress mirroring: buffer the stamped copy
+  // Egress mirroring: buffer the stamped copy, filled in place. The slot may
+  // be recycled, so every field is assigned.
+  Buffered& b = buffer_.claim(v);
+  b.copy = p;
   b.enqueued_at = sim_.now();
   b.loop_phase = static_cast<SimTime>(
       jitter_.uniform_int(static_cast<std::uint64_t>(cfg_.recirc_loop)));
+  b.retx_requested = false;
   buffer_bytes_ += p.frame_bytes;
-  buffer_.emplace(v, std::move(b));
 
   ++stats_.protected_sent;
 }
@@ -163,23 +166,28 @@ void LgSender::schedule_loop_check(std::int64_t v, const Buffered& b) {
   const SimTime k =
       anchor > sim_.now() ? 0 : (sim_.now() - anchor) / cfg_.recirc_loop + 1;
   const SimTime when = anchor + k * cfg_.recirc_loop;
-  sim_.schedule_at(when, [this, v] { run_loop_check(v); });
+  // enable() restarts seqNos at 0: a check from an earlier era names a copy
+  // of the current one and must not free it.
+  sim_.schedule_at(when, [this, v, gen = enable_gen_] {
+    if (gen == enable_gen_) run_loop_check(v);
+  });
 }
 
 void LgSender::run_loop_check(std::int64_t v) {
-  const Buffered* b = buffer_.find(v);
+  Buffered* b = buffer_.find(v);
   if (b == nullptr) return;
   account_free(v, *b);
   buffer_bytes_ -= b->copy.frame_bytes;
   if (b->retx_requested) {
     // Retransmit N copies through the highest-priority queue. The Tofino
-    // uses the multicast primitive to emit all copies in one pass. The
-    // enqueues run the transmit hook, so b is not used past this point.
+    // uses the multicast primitive to emit all copies in one pass. Each
+    // enqueue copies the buffered frame into a port slot; the transmit hook
+    // it may run leaves the Tx buffer alone for retx-queue frames. The copy
+    // is freed right below, so it is marked in place.
     const int n = cfg_.n_retx_copies();
     obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kRetx, trace_actor_, v, n);
-    net::Packet copy = b->copy;
-    copy.lg.retransmitted = true;
-    for (int i = 0; i < n; ++i) port_.enqueue(retx_q_, copy);
+    b->copy.lg.retransmitted = true;
+    for (int i = 0; i < n; ++i) port_.enqueue(retx_q_, b->copy);
     stats_.retx_copies_sent += n;
   }
   obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease, trace_actor_,

@@ -58,7 +58,7 @@ class LgSender {
   /// Datapath entry: a packet to transmit on this link. When protection is
   /// enabled, stamps the LinkGuardian header and buffers a copy; otherwise
   /// passes straight to the normal queue.
-  void send(net::Packet p);
+  void send(net::Packet&& p);
 
   /// Reverse-direction control input: cumulative ACKs (explicit or
   /// piggybacked), loss notifications and PFC pause/resume frames.
@@ -102,6 +102,7 @@ class LgSender {
   const int dummy_q_;
 
   bool enabled_ = false;
+  std::uint32_t enable_gen_ = 0;  // enable() count: tags scheduled loop checks
   std::int64_t next_v_ = 0;       // next virtual seq to assign
   std::int64_t latest_rx_v_ = -1; // sender's copy of receiver's latestRxSeqNo
   // Lowest seqNo whose loop check may still be unscheduled: every buffered

@@ -13,6 +13,13 @@
 // experience the propagation delay, then an optional corruption loss roll
 // (modelling the receiving MAC dropping bad-FCS frames), and finally reach
 // the delivery callback (the peer's ingress).
+//
+// A frame is moved once per port: enqueue moves it into a slot of the port's
+// PacketPool (after the byte-limit check, so a tail drop takes no slot), the
+// queues hold slot pointers, and the transmit hook, the serialization and
+// propagation legs and the delivery callback all work on that slot. The slot
+// is released on a corruption drop, when there is no delivery callback, and
+// after delivery.
 #pragma once
 
 #include <cassert>
@@ -75,7 +82,7 @@ class EgressPort {
  private:
   struct Queue {
     QueueOpts opts;
-    util::RingQueue<Packet> fifo;
+    util::RingQueue<Packet*> fifo;  // slots of pool_, oldest first
     std::int64_t bytes = 0;
     bool paused = false;
     std::function<std::optional<Packet>()> replenish;
@@ -113,29 +120,17 @@ class EgressPort {
   }
 
   /// Enqueue into queue `q`. Returns false (and counts a drop) on overflow.
-  bool enqueue(int q, Packet p) {
+  bool enqueue(int q, Packet&& p) {
     Queue& que = queues_.at(q);
-    if (que.bytes + p.frame_bytes > que.opts.byte_limit) {
-      ++que.counters.drop_frames;
-      que.counters.drop_bytes += p.frame_bytes;
-      obs::emit(sim_.now(), obs::Cat::kPort, obs::Kind::kDrop, trace_actor_,
-                p.frame_bytes, static_cast<std::int64_t>(p.uid),
-                static_cast<std::uint16_t>(q));
-      return false;
-    }
-    if (que.opts.ecn_threshold >= 0 && p.kind == PktKind::kData &&
-        que.bytes > que.opts.ecn_threshold) {
-      p.tcp.ce = true;
-      ++que.counters.ecn_marked;
-    }
-    que.bytes += p.frame_bytes;
-    ++que.counters.enq_frames;
-    que.counters.enq_bytes += p.frame_bytes;
-    obs::emit(sim_.now(), obs::Cat::kPort, obs::Kind::kEnqueue, trace_actor_,
-              p.frame_bytes, static_cast<std::int64_t>(p.uid),
-              static_cast<std::uint16_t>(q));
-    que.fifo.push_back(std::move(p));
-    maybe_start_tx();
+    if (!admit(que, q, p)) return false;
+    push(que, q, pool_.acquire(std::move(p)));
+    return true;
+  }
+  /// Enqueue a copy of `p` (a frame sent more than once, e.g. retx copies).
+  bool enqueue(int q, const Packet& p) {
+    Queue& que = queues_.at(q);
+    if (!admit(que, q, p)) return false;
+    push(que, q, pool_.acquire(p));
     return true;
   }
 
@@ -150,6 +145,10 @@ class EgressPort {
 
   std::int64_t queue_bytes(int q) const { return queues_.at(q).bytes; }
   std::size_t queue_frames(int q) const { return queues_.at(q).fifo.size(); }
+
+  /// Pool slots ever created: the most frames the port has held at once
+  /// (queued, serializing or propagating). A tail drop takes no slot.
+  std::size_t pool_capacity() const { return pool_.capacity(); }
 
   std::int64_t total_queued_bytes() const {
     std::int64_t s = 0;
@@ -206,10 +205,39 @@ class EgressPort {
     return -1;
   }
 
+  /// The byte-limit check: counts and traces a tail drop.
+  bool admit(Queue& que, int q, const Packet& p) {
+    if (que.bytes + p.frame_bytes <= que.opts.byte_limit) return true;
+    ++que.counters.drop_frames;
+    que.counters.drop_bytes += p.frame_bytes;
+    obs::emit(sim_.now(), obs::Cat::kPort, obs::Kind::kDrop, trace_actor_,
+              p.frame_bytes, static_cast<std::int64_t>(p.uid),
+              static_cast<std::uint16_t>(q));
+    return false;
+  }
+
+  void push(Queue& que, int q, Packet* slot) {
+    Packet& p = *slot;
+    if (que.opts.ecn_threshold >= 0 && p.kind == PktKind::kData &&
+        que.bytes > que.opts.ecn_threshold) {
+      p.tcp.ce = true;
+      ++que.counters.ecn_marked;
+    }
+    que.bytes += p.frame_bytes;
+    ++que.counters.enq_frames;
+    que.counters.enq_bytes += p.frame_bytes;
+    obs::emit(sim_.now(), obs::Cat::kPort, obs::Kind::kEnqueue, trace_actor_,
+              p.frame_bytes, static_cast<std::int64_t>(p.uid),
+              static_cast<std::uint16_t>(q));
+    que.fifo.push_back(slot);
+    maybe_start_tx();
+  }
+
   void start_tx(int qi) {
     Queue& q = queues_[qi];
-    Packet p = std::move(q.fifo.front());
+    Packet* slot = q.fifo.front();
     q.fifo.pop_front();
+    Packet& p = *slot;
     q.bytes -= p.frame_bytes;
     ++q.counters.deq_frames;
     q.counters.deq_bytes += p.frame_bytes;
@@ -241,14 +269,13 @@ class EgressPort {
         q.bytes += fresh->frame_bytes;
         ++q.counters.enq_frames;
         q.counters.enq_bytes += fresh->frame_bytes;
-        q.fifo.push_back(std::move(*fresh));
+        q.fifo.push_back(pool_.acquire(std::move(*fresh)));
       }
     }
 
-    // The frame parks in the pool for the serialization + propagation chain;
+    // The frame stays in its slot for the serialization + propagation chain;
     // the kernel closures capture only {this, slot} and stay inside
     // InlineCallback's inline buffer (no per-event heap allocation).
-    Packet* slot = pool_.acquire(std::move(p));
     auto done = [this, slot] {
       busy_ = false;
       finish_tx(slot);
@@ -291,7 +318,7 @@ class EgressPort {
   DeliverFn deliver_;
   LossModel* loss_ = nullptr;
   TransmitHook on_transmit_;
-  PacketPool pool_;  // in-flight frames (serialization + propagation legs)
+  PacketPool pool_;  // every frame the port holds: queued, on the wire, in flight
   bool busy_ = false;
   std::int64_t frac_carry_ = 0;  // sub-ns serialization remainder (x rate)
   PortCounters counters_;

@@ -98,9 +98,9 @@ class TestbedPath {
   void set_sink_at_a(SinkFn fn) { to_a_ = std::move(fn); }
 
   /// Transmit from host A (data direction, crosses the corrupting link).
-  void send_from_a(net::Packet p) { nic_a_.enqueue(nic_a_q_, std::move(p)); }
+  void send_from_a(net::Packet&& p) { nic_a_.enqueue(nic_a_q_, std::move(p)); }
   /// Transmit from host B (ACK direction).
-  void send_from_b(net::Packet p) { nic_b_.enqueue(nic_b_q_, std::move(p)); }
+  void send_from_b(net::Packet&& p) { nic_b_.enqueue(nic_b_q_, std::move(p)); }
 
   lg::ProtectedLink& link() { return link_; }
   net::EgressPort& nic_a() { return nic_a_; }

@@ -1,14 +1,13 @@
 // Growable ring buffers for the datapath.
 //
-// RingQueue is a FIFO. It replaces `std::deque` on the packet datapath:
-// libstdc++'s deque allocates and frees ~512-byte node blocks as the
-// head/tail cross block boundaries, which for ~200-byte Packets means an
-// allocation roughly every other frame even at steady queue depth. The ring grows by doubling (amortized, warmup
-// only) and never shrinks, so a steady-state push/pop cycle allocates
-// nothing — the invariant bench_micro's allocation guard enforces for the
-// port datapath. The event kernel's sorted run lane is a RingQueue too; it
-// reads entries by index (`at`) and inserts a few places behind the head
-// (`insert_at`).
+// RingQueue is a FIFO. It replaces `std::deque` on the packet datapath
+// (a port's queues hold `Packet*` pool slots): libstdc++'s deque allocates
+// and frees ~512-byte node blocks as the head/tail cross block boundaries.
+// The ring grows by doubling (amortized, warmup only) and never shrinks, so
+// a steady-state push/pop cycle allocates nothing — the invariant
+// bench_micro's allocation guard enforces for the port datapath. The event
+// kernel's sorted run lane is a RingQueue too; it reads entries by index
+// (`at`) and inserts a few places behind the head (`insert_at`).
 //
 // SeqRing is a map from a 64-bit sequence number to a value, for keys that
 // live in a sliding window: LinkGuardian's Tx buffer, reorder buffer and
@@ -33,11 +32,13 @@ class RingQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  void push_back(T v) {
+  void push_back(T&& v) {
     if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
     ++size_;
   }
+  /// Copies `v` before the ring can grow, so `v` may be one of its entries.
+  void push_back(const T& v) { push_back(T(v)); }
 
   T& front() {
     assert(size_ > 0);
@@ -111,6 +112,8 @@ class RingQueue {
 ///
 /// An erased value stays in its slot (moved-from, or as it was) until the
 /// slot is reused; T should not own resources whose release time matters.
+/// `claim` inserts in place: it hands back the new key's slot still holding
+/// that earlier occupant, so the caller must assign every field.
 template <typename T>
 class SeqRing {
  public:
@@ -142,6 +145,16 @@ class SeqRing {
   /// this call inserted it.
   std::pair<T*, bool> emplace(std::int64_t v, T value) {
     if (T* found = find(v)) return {found, false};
+    T& s = claim(v);
+    s = std::move(value);
+    return {&s, true};
+  }
+
+  /// Makes key v present and returns its slot to be filled in place. v must
+  /// be absent. The slot keeps whatever value it last held (a recycled
+  /// slot's previous occupant), so the caller assigns every field.
+  T& claim(std::int64_t v) {
+    assert(!contains(v));
     if (size_ == 0) {
       if (slots_.empty()) slots_.resize(kInitialCapacity);
       lo_ = v;
@@ -156,9 +169,8 @@ class SeqRing {
     Slot& s = slot(v);
     s.key = v;
     s.present = true;
-    s.value = std::move(value);
     ++size_;
-    return {&s.value, true};
+    return s.value;
   }
 
   /// Removes key v; returns whether it was present.

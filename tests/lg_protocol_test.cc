@@ -393,8 +393,10 @@ TEST(LgProtocol, DisableEnableCycleWithAcksInFlightPinsSenderSchedule) {
   // fibers. The first ACK after enable() is stale: it resolves against the
   // restarted sequence space to a seqNo above anything sent yet, so copies
   // sent after it must wait for the next ACK advance before their loop
-  // checks are scheduled. The counters below were recorded with the
+  // checks are scheduled. The sender counters below were recorded with the
   // rescan-from-the-lowest-seqNo sender; the cursor must reproduce them.
+  // The receiver counts exclude the one loss an ackNoTimeout armed before
+  // the cycle would cause by expiring the new era's hole at its seqNo.
   Harness h;
   h.make();
   h.drop_frames({3, 40, 120, 121, 190});
@@ -408,7 +410,166 @@ TEST(LgProtocol, DisableEnableCycleWithAcksInFlightPinsSenderSchedule) {
   EXPECT_EQ(ss.retx_copies_sent, 4);
   EXPECT_EQ(ss.recirc_loops, 696);
   EXPECT_EQ(h.link->sender().tx_buffer_pkts(), 0);
-  EXPECT_EQ(h.out.size(), 271u);
+  EXPECT_EQ(h.out.size(), 272u);
+  EXPECT_EQ(h.link->receiver().stats().timeouts, 26);
+}
+
+// Drops the original (not retransmitted) transmission of chosen data frames,
+// by uid, so a test can aim a loss at one era of a disable()/enable() cycle.
+class DropOriginals final : public net::LossModel {
+ public:
+  explicit DropOriginals(std::vector<std::uint64_t> uids) : uids_(std::move(uids)) {}
+  bool lose(SimTime, const Packet& p) override {
+    if (p.kind != PktKind::kData || p.lg.retransmitted) return false;
+    for (std::uint64_t u : uids_)
+      if (p.uid == u) return true;
+    return false;
+  }
+
+ private:
+  std::vector<std::uint64_t> uids_;
+};
+
+/// Takes the reverse fiber down (every ACK, notification and PFC frame lost)
+/// or back up; returns the installed model for set_link_down.
+net::BernoulliLoss* silence_reverse(ProtectedLink& link) {
+  auto m = std::make_unique<net::BernoulliLoss>(0.0, Rng(1));
+  m->set_link_down(true);
+  net::BernoulliLoss* raw = m.get();
+  link.set_reverse_loss_model(std::move(m));
+  return raw;
+}
+
+void inject_from(ProtectedLink& link, std::uint64_t first_uid, int n) {
+  for (int i = 0; i < n; ++i) {
+    Packet p;
+    p.kind = PktKind::kData;
+    p.frame_bytes = 64;
+    p.uid = first_uid + static_cast<std::uint64_t>(i);
+    link.send_forward(std::move(p));
+  }
+}
+
+// enable() restarts seqNos at 0, so a loop check scheduled in the previous
+// era names a seqNo the new era reuses. It must not free the new era's copy:
+// with no ACK reaching the sender after re-enable, every new copy stays
+// buffered (a freed one would turn its retransmission request into an
+// unknown_retx_request, a loss nothing recovers).
+TEST(LgProtocol, StaleLoopCheckAfterReenableKeepsNewEraCopies) {
+  for (const SimTime cut : {nsec(150), nsec(250)}) {
+    Harness h;
+    h.cfg = LgConfig{};
+    h.make();
+    inject_from(*h.link, 0, 20);
+    h.sim.schedule_at(cut, [&] { silence_reverse(*h.link); });
+    // Frames already on the reverse fiber at the cut still land; then the
+    // old era's ACK advance has scheduled its loop checks.
+    std::int64_t acks_before = -1;
+    h.sim.schedule_at(cut + nsec(200), [&] {
+      h.link->disable_lg();
+      h.link->enable_lg();
+      acks_before = h.link->sender().stats().acks_received;
+      inject_from(*h.link, 100, 20);
+    });
+    h.sim.run();
+    EXPECT_EQ(h.link->sender().stats().acks_received, acks_before) << "cut " << cut;
+    EXPECT_EQ(h.link->sender().tx_buffer_pkts(), 20) << "cut " << cut;
+  }
+}
+
+// The receiver's ackNoTimeout for a hole of the previous era must not expire
+// the new era's hole at the same seqNo. Era 1 loses uid 5 with the reverse
+// fiber down, so the hole is never repaired and its timeout stays armed
+// across the cycle; era 2 loses its own seqNo 5 with the reverse fiber up,
+// and must recover it. The cycle time is swept up to the old deadline
+// (7.2 us: the hole is detected at 147 ns, plus ackNoTimeout, rounded up
+// to the timer tick).
+TEST(LgProtocol, StaleAckNoTimeoutAfterReenableSparesNewEraHole) {
+  for (SimTime t = usec(6) + nsec(500); t < usec(7) + nsec(200); t += nsec(50)) {
+    Harness h;
+    h.make();
+    h.link->set_loss_model(std::make_unique<DropOriginals>(
+        std::vector<std::uint64_t>{5, 105}));
+    net::BernoulliLoss* rev = silence_reverse(*h.link);
+    inject_from(*h.link, 0, 20);
+    std::size_t era1_out = 0;
+    h.sim.schedule_at(t, [&] {
+      h.link->disable_lg();
+      h.link->enable_lg();
+      rev->set_link_down(false);
+      era1_out = h.out.size();
+      inject_from(*h.link, 100, 20);
+    });
+    h.sim.run();
+    const auto& rs = h.link->receiver().stats();
+    EXPECT_EQ(rs.timeouts, 0) << "cycle at " << t;
+    EXPECT_EQ(h.out.size() - era1_out, 20u) << "cycle at " << t;
+  }
+}
+
+// A reorder-buffer release scheduled in the previous era must not release
+// the new era's frames: a second release chain would drain the buffer faster
+// than the recirculation drain rate. Era 1 loses uid 5, so its successors are
+// buffered, and once the retransmission lands a release is pending for up to
+// one recirculation loop; the cycle is swept across that window. Era 2 loses
+// its first frame, so all its successors are released from the buffer, and
+// each must leave at least one drain-rate frame time after the previous.
+TEST(LgProtocol, StaleReleaseAfterReenableKeepsOneDrainChain) {
+  // A buffered frame still carries its LinkGuardian header.
+  const SimTime spacing = serialization_time(
+      64 + kLgHeaderBytes + kEthernetPreamble + kEthernetIfg, kRecircDrainRate);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (SimTime delay = 0; delay <= nsec(1200); delay += nsec(20)) {
+      SCOPED_TRACE(testing::Message() << "jitter seed " << seed << ", cycle "
+                                      << delay << " ns after the retx");
+      Harness h;
+      h.cfg.jitter_seed = seed;  // where each frame sits in the loop
+      h.make();
+      h.link->set_loss_model(std::make_unique<DropOriginals>(
+          std::vector<std::uint64_t>{5, 100}));
+      std::size_t era1_out = 0;
+      h.link->set_forward_sink([&](Packet&& p) {
+        if (p.uid == 5) {
+          h.sim.schedule_in(delay, [&] {
+            h.link->disable_lg();
+            h.link->enable_lg();
+            era1_out = h.out.size();
+            inject_from(*h.link, 100, 20);
+          });
+        }
+        h.out.push_back(std::move(p));
+        h.out_times.push_back(h.sim.now());
+      });
+      inject_from(*h.link, 0, 20);
+      h.sim.run();
+      ASSERT_EQ(h.out.size() - era1_out, 20u);
+      for (std::size_t i = era1_out + 1; i < h.out.size(); ++i) {
+        EXPECT_EQ(h.out[i].uid, h.out[i - 1].uid + 1);
+        if (i > era1_out + 1) {  // uid 100 itself is forwarded, not released
+          EXPECT_GE(h.out_times[i] - h.out_times[i - 1], spacing)
+              << "uid " << h.out[i].uid;
+        }
+      }
+    }
+  }
+}
+
+// The Tx buffer fills recycled ring slots in place. A copy whose loss was
+// requested leaves retx_requested set in its slot when it is freed; the
+// copies that later reuse that slot must not inherit the request (each would
+// be retransmitted for nothing and dropped as a duplicate).
+TEST(LgProtocol, RecycledTxBufferSlotCarriesNoStaleRetxRequest) {
+  Harness h;
+  h.make();
+  h.drop_frames({2});
+  h.inject(400);
+  h.sim.run();
+  ASSERT_EQ(h.out.size(), 400u);
+  EXPECT_TRUE(h.out_is_in_order());
+  const auto& ss = h.link->sender().stats();
+  EXPECT_EQ(ss.retx_requests, 1);
+  EXPECT_EQ(ss.retx_copies_sent, h.cfg.n_retx_copies());
+  EXPECT_EQ(h.link->receiver().stats().dup_dropped, 0);
 }
 
 TEST(LgEq2, RetxCopiesMatchesPaperExamples) {

@@ -239,6 +239,74 @@ TEST(EgressPort, TransmitHookCanMutate) {
   EXPECT_TRUE(sink.pkts[0].lg_ack.valid);
 }
 
+// Frames live in the port's pool slots from enqueue to delivery. One port
+// with a byte-limited queue, a paused queue and a replenishing queue, and a
+// transmit hook that stamps each frame in its slot: every delivered frame
+// carries its stamp, each queue stays FIFO, the conservation counters hold,
+// and a tail drop takes no slot.
+TEST(EgressPort, QueuedFramesLiveInPoolSlotsUntilDelivery) {
+  Simulator sim;
+  EgressPort port(sim, "p", gbps(10), nsec(100));
+  const int limited = port.add_queue({.byte_limit = 3000});
+  const int paused = port.add_queue();
+  const int fill = port.add_queue();
+  std::uint16_t stamps = 0;
+  port.set_transmit_hook([&](Packet& p, int) {
+    p.lg_ack.valid = true;
+    p.lg_ack.latest_rx_seq = stamps++;  // transmission order
+  });
+  std::uint64_t next_fill = 21;
+  port.set_replenish(fill, [&]() -> std::optional<Packet> {
+    if (next_fill > 24) return std::nullopt;
+    Packet p = make_control(PktKind::kLgDummy);
+    p.uid = next_fill++;
+    return p;
+  });
+  Collector sink;
+  port.set_deliver(sink.fn(sim));
+
+  // uid 1 starts serializing at once; 2 and 3 fill the 3000-byte queue.
+  for (std::uint64_t uid = 1; uid <= 3; ++uid)
+    EXPECT_TRUE(port.enqueue(limited, data_pkt(1500, uid)));
+  const std::size_t slots = port.pool_capacity();
+  EXPECT_EQ(slots, 3u);
+  EXPECT_FALSE(port.enqueue(limited, data_pkt(1500, 4)));  // tail drop
+  EXPECT_EQ(port.pool_capacity(), slots) << "a tail drop must not take a slot";
+
+  port.pause_queue(paused);
+  port.enqueue(paused, data_pkt(500, 11));
+  port.enqueue(paused, data_pkt(500, 12));
+  Packet seed = make_control(PktKind::kLgDummy);
+  seed.uid = 20;
+  port.enqueue(fill, seed);  // the const& overload copies into a slot
+  sim.schedule_at(usec(5), [&] { port.resume_queue(paused); });
+  sim.run();
+
+  const std::vector<std::uint64_t> order = {1, 2, 3, 20, 21, 22, 23, 24, 11, 12};
+  ASSERT_EQ(sink.pkts.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(sink.pkts[i].uid, order[i]) << "delivery " << i;
+    EXPECT_TRUE(sink.pkts[i].lg_ack.valid) << "delivery " << i;
+    EXPECT_EQ(sink.pkts[i].lg_ack.latest_rx_seq, i) << "delivery " << i;
+  }
+  EXPECT_GE(sink.times[8], usec(5));  // the paused queue waited for resume
+
+  for (int q : {limited, paused, fill}) {
+    const EgressPort::QueueCounters& c = port.queue_counters(q);
+    EXPECT_EQ(c.enq_frames,
+              c.deq_frames + static_cast<std::int64_t>(port.queue_frames(q)));
+    EXPECT_EQ(c.enq_bytes, c.deq_bytes + port.queue_bytes(q));
+    EXPECT_EQ(c.deq_frames, c.tx_frames);
+  }
+  EXPECT_EQ(port.queue_counters(limited).enq_frames, 3);
+  EXPECT_EQ(port.queue_counters(limited).drop_frames, 1);
+  EXPECT_EQ(port.queue_counters(paused).enq_frames, 2);
+  EXPECT_EQ(port.queue_counters(fill).enq_frames, 5);  // 1 seeded + 4 re-armed
+  EXPECT_EQ(port.counters().delivered_frames, 10);
+  // Slots are recycled: the pool never held more than the peak in flight.
+  EXPECT_LE(port.pool_capacity(), 7u);
+}
+
 TEST(EgressPort, LossModelDropsFrames) {
   Simulator sim;
   EgressPort port(sim, "p", gbps(100), 0);

@@ -82,12 +82,17 @@ TEST(ParallelGrid, ExceptionInWorkerPropagates) {
 TEST(BenchJobs, EnvOverridesAndRejectsGarbage) {
   // bench_jobs() reads LGSIM_BENCH_JOBS once per call; exercise the parser
   // through the environment to pin the contract.
+  // No grid starts here: a rejected value throws before any worker exists.
   setenv("LGSIM_BENCH_JOBS", "3", 1);
   EXPECT_EQ(bench_jobs(), 3u);
   setenv("LGSIM_BENCH_JOBS", "0", 1);
-  EXPECT_GE(bench_jobs(), 1u);  // falls back to hardware_concurrency
+  EXPECT_THROW(bench_jobs(), std::invalid_argument);
   setenv("LGSIM_BENCH_JOBS", "nan", 1);
-  EXPECT_GE(bench_jobs(), 1u);
+  EXPECT_THROW(bench_jobs(), std::invalid_argument);
+  setenv("LGSIM_BENCH_JOBS", "5000", 1);  // above the 1024-worker max
+  EXPECT_THROW(bench_jobs(), std::invalid_argument);
+  setenv("LGSIM_BENCH_JOBS", "", 1);
+  EXPECT_GE(bench_jobs(), 1u);  // empty: hardware_concurrency
   unsetenv("LGSIM_BENCH_JOBS");
   EXPECT_GE(bench_jobs(), 1u);
 }

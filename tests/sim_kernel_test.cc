@@ -12,6 +12,7 @@
 #include <deque>
 #include <memory>
 #include <queue>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -194,6 +195,36 @@ TEST(PacketPool, RecyclesSlotsWithStableAddresses) {
   EXPECT_EQ(pool.capacity(), 2u);
   pool.release(b);
   pool.release(c);
+}
+
+TEST(PacketPool, SlotAddressesStayStableAcrossChunkGrowth) {
+  // Enough frames held at once to grow the arena by several chunks: every
+  // slot keeps its address and its frame while later chunks are added.
+  net::PacketPool pool;
+  std::vector<net::Packet*> held;
+  for (std::uint64_t uid = 0; uid < 300; ++uid) {
+    net::Packet p;
+    p.uid = uid;
+    held.push_back(pool.acquire(std::move(p)));
+  }
+  EXPECT_EQ(pool.capacity(), 300u);
+  EXPECT_EQ(pool.in_flight(), 300u);
+  for (std::uint64_t uid = 0; uid < 300; ++uid)
+    EXPECT_EQ(held[uid]->uid, uid) << "slot " << uid << " moved or was reused";
+  const std::set<net::Packet*> distinct(held.begin(), held.end());
+  EXPECT_EQ(distinct.size(), 300u);
+
+  // Released slots are recycled before the arena grows again.
+  for (net::Packet* slot : held) pool.release(slot);
+  EXPECT_EQ(pool.in_flight(), 0u);
+  for (std::uint64_t uid = 0; uid < 300; ++uid) {
+    net::Packet p;
+    p.uid = 1000 + uid;
+    net::Packet* slot = pool.acquire(static_cast<const net::Packet&>(p));
+    EXPECT_EQ(distinct.count(slot), 1u);
+    EXPECT_EQ(slot->uid, 1000 + uid);
+  }
+  EXPECT_EQ(pool.capacity(), 300u);
 }
 
 // ------------------------------------------------------------------ kernel

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -123,42 +124,61 @@ TEST(TimeSeries, WindowQueries) {
   EXPECT_DOUBLE_EQ(ts.mean_in(100, 200), 0.0);
 }
 
+constexpr const char* kVar = "LGSIM_TEST_KNOB";
+
 TEST(EnvParse, PositiveDoubleAcceptsNormalValues) {
-  EXPECT_DOUBLE_EQ(parse_positive_double("0.1", 1.0), 0.1);
-  EXPECT_DOUBLE_EQ(parse_positive_double("10", 1.0), 10.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("2.5e-1", 1.0), 0.25);
-  EXPECT_DOUBLE_EQ(parse_positive_double("3 ", 1.0), 3.0);  // trailing space ok
+  EXPECT_DOUBLE_EQ(parse_positive_double(kVar, "0.1", 1.0), 0.1);
+  EXPECT_DOUBLE_EQ(parse_positive_double(kVar, "10", 1.0), 10.0);
+  EXPECT_DOUBLE_EQ(parse_positive_double(kVar, "2.5e-1", 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(parse_positive_double(kVar, "3 ", 1.0), 3.0);  // trailing space ok
 }
 
 TEST(EnvParse, PositiveDoubleRejectsNanAndInf) {
   // std::atof would let these straight into loop bounds (LGSIM_BENCH_SCALE);
-  // the parser must fall back instead.
-  EXPECT_DOUBLE_EQ(parse_positive_double("nan", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("NaN", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("inf", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("-inf", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("Infinity", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("1e999", 1.0), 1.0);  // overflows to inf
+  // the parser must reject them instead.
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "Infinity",
+                          "1e999" /* overflows to inf */})
+    EXPECT_THROW(parse_positive_double(kVar, bad, 1.0), std::invalid_argument)
+        << bad;
 }
 
 TEST(EnvParse, PositiveDoubleRejectsGarbageZeroAndNegative) {
-  EXPECT_DOUBLE_EQ(parse_positive_double(nullptr, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("fast", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("0", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("-2", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(parse_positive_double("1.5x", 1.0), 1.0);  // trailing junk
+  // Unset or empty keeps the default; a set value must be valid.
+  EXPECT_DOUBLE_EQ(parse_positive_double(kVar, nullptr, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(parse_positive_double(kVar, "", 1.0), 1.0);
+  for (const char* bad : {"fast", "0", "-2", "1.5x" /* trailing junk */, " "})
+    EXPECT_THROW(parse_positive_double(kVar, bad, 1.0), std::invalid_argument)
+        << bad;
 }
 
 TEST(EnvParse, PositiveCount) {
-  EXPECT_EQ(parse_positive_count("8", 4), 8u);
-  EXPECT_EQ(parse_positive_count("1", 4), 1u);
-  EXPECT_EQ(parse_positive_count(nullptr, 4), 4u);
-  EXPECT_EQ(parse_positive_count("0", 4), 4u);
-  EXPECT_EQ(parse_positive_count("-3", 4), 4u);
-  EXPECT_EQ(parse_positive_count("many", 4), 4u);
-  EXPECT_EQ(parse_positive_count("7.5", 4), 4u);      // trailing junk
-  EXPECT_EQ(parse_positive_count("999999", 4), 1024u);  // capped
+  EXPECT_EQ(parse_positive_count(kVar, "8", 4), 8u);
+  EXPECT_EQ(parse_positive_count(kVar, "1", 4), 1u);
+  EXPECT_EQ(parse_positive_count(kVar, "1024", 4), 1024u);  // the default max
+  EXPECT_EQ(parse_positive_count(kVar, "50", 4, 50), 50u);
+  EXPECT_EQ(parse_positive_count(kVar, nullptr, 4), 4u);
+  EXPECT_EQ(parse_positive_count(kVar, "", 4), 4u);
+  for (const char* bad : {"0", "-3", "many", "7.5" /* trailing junk */,
+                          "1025", "999999", "99999999999999999999999"})
+    EXPECT_THROW(parse_positive_count(kVar, bad, 4), std::invalid_argument)
+        << bad;
+  EXPECT_THROW(parse_positive_count(kVar, "51", 4, 50), std::invalid_argument);
+}
+
+TEST(EnvParse, RejectionNamesTheVariableAndItsValue) {
+  try {
+    parse_positive_count("LGSIM_BENCH_JOBS", "4000", 4);
+    FAIL() << "4000 jobs must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "LGSIM_BENCH_JOBS=\"4000\": must be <= 1024");
+  }
+  try {
+    parse_positive_double("LGSIM_BENCH_SCALE", "nan", 1.0);
+    FAIL() << "nan must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "LGSIM_BENCH_SCALE=\"nan\": must be a finite value > 0");
+  }
 }
 
 TEST(RunningStats, MergeMatchesSingleAccumulator) {
@@ -550,6 +570,31 @@ TEST(SeqRing, EraseAtEitherEdgeShrinksTheWindow) {
   r.emplace(1'000'000, 1);
   EXPECT_EQ(r.capacity(), 16u);
   EXPECT_EQ(r.front_key(), 1'000'000);
+}
+
+// claim() inserts in place: the slot it hands back still holds its previous
+// occupant, so a caller that fills only some fields inherits the rest. The
+// LinkGuardian buffers assign every field (see LgProtocol's
+// RecycledTxBufferSlotCarriesNoStaleRetxRequest); emplace() overwrites all.
+TEST(SeqRing, ClaimHandsBackTheRecycledSlotForTheCallerToFill) {
+  struct Entry {
+    std::int64_t seq = 0;
+    bool retx_requested = false;
+  };
+  util::SeqRing<Entry> r;
+  Entry& first = r.claim(3);
+  first = {3, true};
+  ASSERT_TRUE(r.erase(3));
+  ASSERT_EQ(r.capacity(), 16u);
+  Entry& reused = r.claim(19);  // 19 & 15 == 3: the same slot
+  EXPECT_EQ(&reused, &first);
+  EXPECT_TRUE(reused.retx_requested) << "claim must not clear the slot";
+  reused = {19, false};
+  EXPECT_FALSE(r.find(19)->retx_requested);
+  ASSERT_TRUE(r.erase(19));
+  r.emplace(35, Entry{35, false});
+  EXPECT_EQ(r.find(35)->seq, 35);
+  EXPECT_FALSE(r.find(35)->retx_requested);
 }
 
 TEST(TablePrinter, FormatsNumbers) {
