@@ -48,29 +48,17 @@ class ProtectedLink {
  public:
   using SinkFn = std::function<void(net::Packet&&)>;
 
-  /// Throws std::invalid_argument for a config lg::validate rejects.
+  /// Throws std::invalid_argument for a config lg::validate rejects, before
+  /// any member is built.
   ProtectedLink(Simulator& sim, const LinkSpec& spec, const LgConfig& cfg)
-      : sim_(sim),
-        cfg_(cfg),
+      : cfg_((validate(cfg), cfg)),
         fwd_port_(sim, spec.name + ".fwd", spec.rate, spec.prop_delay),
-        rev_port_(sim, spec.name + ".rev", spec.rate, spec.prop_delay) {
-    validate(cfg_);
-    retx_q_ = fwd_port_.add_queue({});  // highest priority: retransmissions
-    normal_q_ = fwd_port_.add_queue(
-        {.byte_limit = spec.normal_queue_bytes,
-         .ecn_threshold = spec.ecn_threshold_bytes});
-    dummy_q_ = fwd_port_.add_queue({});  // strictly lowest: dummy packets
-
-    ctrl_q_ = rev_port_.add_queue({});  // loss notifications + PFC
-    rev_normal_q_ = rev_port_.add_queue({.byte_limit = spec.normal_queue_bytes});
-    ack_q_ = rev_port_.add_queue({});  // strictly lowest: explicit ACKs
-
-    sender_ = std::make_unique<LgSender>(sim, cfg_, fwd_port_, retx_q_,
-                                         normal_q_, dummy_q_);
-    receiver_ = std::make_unique<LgReceiver>(sim, cfg_, rev_port_, ctrl_q_,
-                                             rev_normal_q_, ack_q_);
-
-    fwd_port_.set_deliver([this](net::Packet&& p) { receiver_->receive(std::move(p)); });
+        rev_port_(sim, spec.name + ".rev", spec.rate, spec.prop_delay),
+        sender_(sim, cfg_, fwd_port_,
+                {.byte_limit = spec.normal_queue_bytes,
+                 .ecn_threshold = spec.ecn_threshold_bytes}),
+        receiver_(sim, cfg_, rev_port_, {.byte_limit = spec.normal_queue_bytes}) {
+    fwd_port_.set_deliver([this](net::Packet&& p) { receiver_.receive(std::move(p)); });
     rev_port_.set_deliver([this](net::Packet&& p) { on_reverse_arrival(std::move(p)); });
   }
 
@@ -79,7 +67,6 @@ class ProtectedLink {
     loss_ = std::move(m);
     fwd_port_.set_loss_model(loss_.get());
   }
-  net::LossModel* loss_model() { return loss_.get(); }
 
   /// Install a reverse-direction corruption process (§5 "Handling
   /// bidirectional corruption"): ACKs, loss notifications and PFC frames can
@@ -91,27 +78,27 @@ class ProtectedLink {
   }
 
   /// Traffic to carry over the protected link.
-  void send_forward(net::Packet&& p) { sender_->send(std::move(p)); }
+  void send_forward(net::Packet&& p) { sender_.send(std::move(p)); }
   /// Regular reverse-direction traffic (ACK info rides on it for free).
-  void send_reverse(net::Packet&& p) { receiver_->send_reverse(std::move(p)); }
+  void send_reverse(net::Packet&& p) { receiver_.send_reverse(std::move(p)); }
 
   /// Where in-order (or NB out-of-order) packets pop out on the receiver
   /// switch, headed to the rest of the network.
-  void set_forward_sink(SinkFn fn) { receiver_->set_forward_sink(std::move(fn)); }
+  void set_forward_sink(SinkFn fn) { receiver_.set_forward_sink(std::move(fn)); }
   /// Where reverse traffic pops out on the sender switch.
   void set_reverse_sink(SinkFn fn) { reverse_sink_ = std::move(fn); }
 
   /// Activate LinkGuardian on both switches (what corruptd does once the
   /// link is found to be corrupting, §3.6).
   void enable_lg() {
-    sender_->enable();
-    receiver_->enable();
+    sender_.enable();
+    receiver_.enable();
   }
   void disable_lg() {
-    sender_->disable();
-    receiver_->disable();
+    sender_.disable();
+    receiver_.disable();
   }
-  bool lg_enabled() const { return sender_->enabled(); }
+  bool lg_enabled() const { return sender_.enabled(); }
 
   /// Live control-plane reconfiguration (AutoFallback, corruptd): the sender
   /// and receiver read the link's LgConfig through a const reference, so
@@ -125,7 +112,7 @@ class ProtectedLink {
   void set_preserve_order(bool ordered) {
     if (cfg_.preserve_order == ordered) return;
     cfg_.preserve_order = ordered;
-    receiver_->on_mode_change();
+    receiver_.on_mode_change();
   }
   bool preserve_order() const { return cfg_.preserve_order; }
 
@@ -141,20 +128,20 @@ class ProtectedLink {
 
   const LgConfig& config() const { return cfg_; }
 
-  LgSender& sender() { return *sender_; }
-  LgReceiver& receiver() { return *receiver_; }
-  const LgSender& sender() const { return *sender_; }
-  const LgReceiver& receiver() const { return *receiver_; }
+  LgSender& sender() { return sender_; }
+  LgReceiver& receiver() { return receiver_; }
+  const LgSender& sender() const { return sender_; }
+  const LgReceiver& receiver() const { return receiver_; }
   net::EgressPort& forward_port() { return fwd_port_; }
   net::EgressPort& reverse_port() { return rev_port_; }
-  int normal_queue() const { return normal_q_; }
+  int normal_queue() const { return LgSender::kNormalQ; }
 
  private:
   void on_reverse_arrival(net::Packet&& p) {
     // All LinkGuardian control state rides the reverse direction: explicit
     // ACKs, piggybacked ACK headers, loss notifications and PFC frames are
     // consumed by the sender switch; everything else continues upstream.
-    sender_->handle_reverse(p);
+    sender_.handle_reverse(p);
     switch (p.kind) {
       case net::PktKind::kLgAck:
       case net::PktKind::kLgLossNotif:
@@ -167,16 +154,15 @@ class ProtectedLink {
     if (reverse_sink_) reverse_sink_(std::move(p));
   }
 
-  Simulator& sim_;
   LgConfig cfg_;
   net::EgressPort fwd_port_;
   net::EgressPort rev_port_;
-  int retx_q_ = 0, normal_q_ = 0, dummy_q_ = 0;
-  int ctrl_q_ = 0, rev_normal_q_ = 0, ack_q_ = 0;
+  // After the ports: each adds its queues to its fresh port, and the trace
+  // actors are interned ports first.
+  LgSender sender_;
+  LgReceiver receiver_;
   std::unique_ptr<net::LossModel> loss_;
   std::unique_ptr<net::LossModel> rev_loss_;
-  std::unique_ptr<LgSender> sender_;
-  std::unique_ptr<LgReceiver> receiver_;
   SinkFn reverse_sink_;
 };
 

@@ -8,20 +8,21 @@
 namespace lgsim::lg {
 
 LgReceiver::LgReceiver(Simulator& sim, const LgConfig& cfg,
-                       net::EgressPort& rev_port, int ctrl_q, int rev_normal_q,
-                       int ack_q)
+                       net::EgressPort& rev_port,
+                       net::EgressPort::QueueOpts normal)
     : sim_(sim),
       cfg_(cfg),
       rev_port_(rev_port),
-      ctrl_q_(ctrl_q),
-      rev_normal_q_(rev_normal_q),
-      ack_q_(ack_q),
-      jitter_(cfg.jitter_seed ^ 0x9e3779b97f4a7c15ULL),
+      buffer_(cfg, cfg.jitter_seed ^ 0x9e3779b97f4a7c15ULL),
       trace_actor_(obs::intern_actor("lg/" + rev_port.name() + "/rcv")) {
+  rev_port_.add_queue({});
+  rev_port_.add_queue(normal);
+  [[maybe_unused]] const int ack_q = rev_port_.add_queue({});
+  assert(ack_q == kAckQ && "the port must have no queues yet");
   // Piggyback the freshest cumulative ACK on every reverse frame as it starts
   // serializing (§3.1). Explicit ACK packets get the same stamp.
   rev_port_.set_transmit_hook([this](net::Packet& p, int q) {
-    if (q == rev_normal_q_ || q == ack_q_) stamp_ack(p);
+    if (q == kRevNormalQ || q == kAckQ) stamp_ack(p);
   });
 }
 
@@ -33,7 +34,6 @@ void LgReceiver::enable() {
   outstanding_.clear();
   skipped_.clear();
   buffer_.clear();
-  buffer_bytes_ = 0;
   bp_paused_ = false;
   release_pending_ = false;
   last_release_ = -1;
@@ -42,23 +42,17 @@ void LgReceiver::enable() {
 void LgReceiver::disable() {
   enabled_ = false;
   // Flush the reordering buffer in sequence order so nothing is stranded.
-  buffer_.for_each([this](std::int64_t, Buffered& b) {
-    net::Packet p = std::move(b.pkt);
-    p.frame_bytes -= kLgHeaderBytes;
-    p.lg.valid = false;
-    ++stats_.forwarded;
-    stats_.forwarded_bytes += p.frame_bytes;
-    if (forward_) forward_(std::move(p));
+  buffer_.for_each([this](std::int64_t, RecircBuffer::Entry& e) {
+    forward_now(std::move(e.pkt));
   });
   buffer_.clear();
-  buffer_bytes_ = 0;
   outstanding_.clear();
   skipped_.clear();
   if (bp_paused_) {
     net::Packet r = net::make_control(net::PktKind::kPfcResume);
     r.pfc.valid = true;
     r.pfc.pause = false;
-    rev_port_.enqueue(ctrl_q_, std::move(r));
+    rev_port_.enqueue(kCtrlQ, std::move(r));
     bp_paused_ = false;
   }
 }
@@ -70,13 +64,12 @@ void LgReceiver::on_mode_change() {
     // forwards out of order from here on, so anything left buffered would be
     // stranded forever. Holes stop gating delivery but stay outstanding_, so
     // a retransmitted copy still counts as recovered, not duplicate.
-    buffer_.for_each([this](std::int64_t v, Buffered& b) {
+    buffer_.for_each([this](std::int64_t v, RecircBuffer::Entry& e) {
       obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease,
                 trace_actor_, v, 0, /*aux=mode flush*/ 2);
-      forward_now(std::move(b.pkt));
+      forward_now(std::move(e.pkt));
     });
     buffer_.clear();
-    buffer_bytes_ = 0;
     skipped_.clear();
     ack_no_v_ = latest_rx_v_ + 1;
     // Lift backpressure exactly as Algorithm 2 does, control copies and
@@ -91,18 +84,6 @@ void LgReceiver::on_mode_change() {
     ack_no_v_ = latest_rx_v_ + 1;
     skipped_.clear();
   }
-}
-
-SeqEra LgReceiver::to_wire(std::int64_t v) const {
-  return SeqEra{static_cast<std::uint16_t>(v & 0xFFFF),
-                static_cast<std::uint8_t>((v >> 16) & 1)};
-}
-
-std::int64_t LgReceiver::resolve_virtual(SeqEra wire) const {
-  if (latest_rx_v_ < 0) {
-    return seq_distance(wire, seq_before_first()) - 1;
-  }
-  return latest_rx_v_ + seq_distance(wire, to_wire(latest_rx_v_));
 }
 
 SimTime LgReceiver::quantize_up(SimTime t) const {
@@ -129,7 +110,7 @@ void LgReceiver::receive(net::Packet&& p) {
 
 void LgReceiver::handle_dummy(const net::Packet& p) {
   ++stats_.dummy_rx;
-  const std::int64_t v_last = resolve_virtual(SeqEra{p.lg.seq, p.lg.era});
+  const std::int64_t v_last = from_wire(SeqEra{p.lg.seq, p.lg.era}, latest_rx_v_);
   if (v_last > latest_rx_v_) {
     // Everything between the previous latestRxSeqNo and the dummy's seqNo was
     // transmitted and lost: this is a (possibly multi-packet) tail loss.
@@ -144,7 +125,7 @@ void LgReceiver::handle_protected(net::Packet&& p) {
   ++stats_.protected_rx;
   if (p.lg.retransmitted) ++stats_.retx_rx;
 
-  const std::int64_t v = resolve_virtual(SeqEra{p.lg.seq, p.lg.era});
+  const std::int64_t v = from_wire(SeqEra{p.lg.seq, p.lg.era}, latest_rx_v_);
   const std::int64_t old_latest = latest_rx_v_;
 
   if (v > old_latest) {
@@ -202,13 +183,13 @@ void LgReceiver::handle_protected(net::Packet&& p) {
     return;
   }
   if (v > ack_no_v_) {
-    if (buffer_bytes_ + p.frame_bytes > cfg_.recirc_buffer_bytes) {
+    if (buffer_.bytes() + p.frame_bytes > cfg_.recirc_buffer_bytes) {
       // The recirculation buffer overflowed (this is what Fig. 9b shows when
       // backpressure is disabled) — the packet is lost to the endpoints.
       ++stats_.reorder_drops;
       ++stats_.effectively_lost;
       obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kDrop, trace_actor_, v,
-                buffer_bytes_);
+                buffer_.bytes());
       // The hole it leaves will be skipped by the ackNo timeout machinery:
       // mark it skipped immediately so the stream is not stalled forever.
       skipped_.emplace(v, {});
@@ -216,14 +197,8 @@ void LgReceiver::handle_protected(net::Packet&& p) {
       return;
     }
     if (was_outstanding) credit_recovery();
-    buffer_bytes_ += p.frame_bytes;
     ++stats_.reorder_buffered;
-    // Filled in place; the slot may be recycled, so every field is assigned.
-    Buffered& b = buffer_.claim(v);
-    b.pkt = std::move(p);
-    b.entered_at = sim_.now();
-    b.loop_phase = static_cast<SimTime>(
-        jitter_.uniform_int(static_cast<std::uint64_t>(cfg_.recirc_loop)));
+    buffer_.insert(v, std::move(p), sim_.now());
     backpressure_check();
     advance_ack_no();
     return;
@@ -267,7 +242,7 @@ void LgReceiver::send_notification(std::int64_t from, std::int64_t count) {
     n.lg_notif.first_missing_era = wire.era;
     n.lg_notif.count = static_cast<std::uint16_t>(std::min<std::int64_t>(count, 0xFFFF));
     stamp_ack(n);  // carries latestRxSeqNo as well (§A.1)
-    rev_port_.enqueue(ctrl_q_, std::move(n));
+    rev_port_.enqueue(kCtrlQ, std::move(n));
     ++stats_.notifs_sent;
   }
 }
@@ -315,11 +290,10 @@ void LgReceiver::advance_ack_no() {
 }
 
 void LgReceiver::schedule_release() {
-  const Buffered* head = buffer_.find(ack_no_v_);
+  const RecircBuffer::Entry* head = buffer_.find(ack_no_v_);
   assert(head != nullptr);
-  const Buffered& b = *head;
   const SimTime spacing =
-      serialization_time(b.pkt.wire_bytes(), kRecircDrainRate);
+      serialization_time(head->pkt.wire_bytes(), kRecircDrainRate);
   // The head of a fresh drain waits for its next pass through the
   // recirculation loop (its position in the loop is the random per-packet
   // phase); once the chain is flowing, buffered packets are spread through
@@ -327,41 +301,29 @@ void LgReceiver::schedule_release() {
   // recirculation-based buffer drains at 100G").
   const bool chain_idle =
       last_release_ < 0 || sim_.now() - last_release_ > cfg_.recirc_loop;
-  SimTime when;
-  if (chain_idle) {
-    const SimTime anchor = b.entered_at + b.loop_phase;
-    const SimTime k =
-        anchor > sim_.now() ? 0 : (sim_.now() - anchor) / cfg_.recirc_loop + 1;
-    when = anchor + k * cfg_.recirc_loop;
-  } else {
-    when = std::max(sim_.now(), last_release_ + spacing);
-  }
+  const SimTime when = chain_idle
+                           ? buffer_.next_pass(*head, sim_.now())
+                           : std::max(sim_.now(), last_release_ + spacing);
   release_pending_ = true;
   // A release from an earlier era is void: enable() cleared release_pending_,
   // and the current era runs its own chain.
   sim_.schedule_at(when, [this, gen = enable_gen_] {
     if (gen != enable_gen_) return;
     release_pending_ = false;
-    Buffered* head2 = buffer_.find(ack_no_v_);
-    if (head2 == nullptr) {
+    RecircBuffer::Entry* released =
+        buffer_.take(ack_no_v_, sim_.now(), stats_.recirc_loops);
+    if (released == nullptr) {
       // The head moved while this release was in flight (e.g. an
       // ackNoTimeout skipped it); restart the advance logic so buffered
       // successors are not stranded.
       if (enabled_) advance_ack_no();
       return;
     }
-    // An erased key's value stays in its slot until the next insert, and
-    // forwarding inserts nothing, so the frame is forwarded from the slot.
-    buffer_.erase(ack_no_v_);
-    buffer_bytes_ -= head2->pkt.frame_bytes;
-    const SimTime lifetime = sim_.now() - head2->entered_at;
-    const std::int64_t loops = lifetime / cfg_.recirc_loop + 1;
-    stats_.recirc_loops += loops;
-    stats_.recirc_loop_bytes += loops * head2->pkt.frame_bytes;
     last_release_ = sim_.now();
     obs::emit(sim_.now(), obs::Cat::kLg, obs::Kind::kBufferRelease,
-              trace_actor_, ack_no_v_, buffer_bytes_, /*aux=rx buffer*/ 1);
-    forward_now(std::move(head2->pkt));
+              trace_actor_, ack_no_v_, buffer_.bytes(), /*aux=rx buffer*/ 1);
+    // Forwarding inserts nothing, so the frame is forwarded from its slot.
+    forward_now(std::move(released->pkt));
     ++ack_no_v_;
     backpressure_check();
     advance_ack_no();
@@ -371,14 +333,14 @@ void LgReceiver::schedule_release() {
 void LgReceiver::backpressure_check() {
   if (!cfg_.backpressure || !cfg_.preserve_order) return;
   // Algorithm 2. curr_state is bp_paused_.
-  if (buffer_bytes_ >= cfg_.pause_threshold && !bp_paused_) {
+  if (buffer_.bytes() >= cfg_.pause_threshold && !bp_paused_) {
     bp_paused_ = true;
     ++stats_.pauses_sent;
     obs::emit(sim_.now(), obs::Cat::kPfc, obs::Kind::kPause, trace_actor_,
-              buffer_bytes_, 0, /*aux=sent*/ 0);
+              buffer_.bytes(), 0, /*aux=sent*/ 0);
     send_pfc(true);
     arm_pfc_refresh();
-  } else if (buffer_bytes_ <= cfg_.resume_threshold && bp_paused_) {
+  } else if (buffer_.bytes() <= cfg_.resume_threshold && bp_paused_) {
     send_resume();
   }
 }
@@ -387,7 +349,7 @@ void LgReceiver::send_resume() {
   bp_paused_ = false;
   ++stats_.resumes_sent;
   obs::emit(sim_.now(), obs::Cat::kPfc, obs::Kind::kResume, trace_actor_,
-            buffer_bytes_, 0, /*aux=sent*/ 0);
+            buffer_.bytes(), 0, /*aux=sent*/ 0);
   send_pfc(false);
   // Repeat the resume a few refresh periods (the timer-packet stream keeps
   // carrying the state on hardware) so a corrupted resume frame cannot
@@ -402,7 +364,7 @@ void LgReceiver::send_pfc(bool pause) {
                                             : net::PktKind::kPfcResume);
     f.pfc.valid = true;
     f.pfc.pause = pause;
-    rev_port_.enqueue(ctrl_q_, std::move(f));
+    rev_port_.enqueue(kCtrlQ, std::move(f));
   }
 }
 
@@ -429,11 +391,11 @@ void LgReceiver::ensure_explicit_ack() {
   // moment the reverse link has nothing better to send and is re-armed on
   // the next advance (§3.1). The header contents are stamped at serialization
   // time, so a queued ACK always carries the freshest latestRxSeqNo.
-  if (rev_port_.queue_frames(ack_q_) > 0) return;
+  if (rev_port_.queue_frames(kAckQ) > 0) return;
   ++stats_.acks_armed;
   for (int c = 0; c < cfg_.control_copies; ++c) {
     net::Packet a = net::make_control(net::PktKind::kLgAck);
-    rev_port_.enqueue(ack_q_, std::move(a));
+    rev_port_.enqueue(kAckQ, std::move(a));
   }
 }
 
@@ -446,7 +408,7 @@ void LgReceiver::stamp_ack(net::Packet& p) {
 }
 
 void LgReceiver::send_reverse(net::Packet&& p) {
-  rev_port_.enqueue(rev_normal_q_, std::move(p));
+  rev_port_.enqueue(kRevNormalQ, std::move(p));
 }
 
 }  // namespace lgsim::lg

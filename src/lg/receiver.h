@@ -2,13 +2,14 @@
 //
 // The receiver watches the protected link's ingress for gaps in the sequence
 // numbers, notifies the sender of losses through a high-priority reverse
-// queue, keeps the sender's latestRxSeqNo fresh through piggybacked and
-// explicit self-replenishing ACKs, and — in the default ordered mode —
-// holds out-of-order packets in a recirculation-based reordering buffer
-// released strictly in sequence (Algorithm 1), throttling the sender through
-// PFC backpressure when the buffer grows (Algorithm 2). A per-gap
-// ackNoTimeout (quantized to the switch timer-packet period) prevents
-// indefinite stalls when every retransmitted copy is lost.
+// queue, keeps the sender's latestRxSeqNo fresh through piggybacked ACKs and
+// an explicit ACK re-armed in the lowest-priority queue, and — in the default
+// ordered mode — holds out-of-order packets in a recirculation-based
+// reordering buffer (a RecircBuffer) released strictly in sequence
+// (Algorithm 1), throttling the sender through PFC backpressure when the
+// buffer grows (Algorithm 2). A per-gap ackNoTimeout (quantized to the
+// switch timer-packet period) prevents indefinite stalls when every
+// retransmitted copy is lost.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +17,10 @@
 #include <variant>
 
 #include "lg/config.h"
+#include "lg/recirc.h"
 #include "lg/seqno.h"
 #include "net/packet.h"
 #include "net/port.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "util/ring.h"
 #include "util/stats.h"
@@ -50,18 +51,20 @@ class LgReceiver {
     std::int64_t resumes_sent = 0;
     std::int64_t acks_armed = 0;
     std::int64_t recirc_loops = 0;     // reorder-buffer loop traversals
-    std::int64_t recirc_loop_bytes = 0;
     lgsim::PercentileTracker retx_delay_us;       // Fig. 19
   };
 
   using ForwardFn = std::function<void(net::Packet&&)>;
 
+  /// The queues the receiver adds to the reverse port, in priority order:
+  /// loss notifications + PFC, regular reverse traffic (gets piggybacked
+  /// ACKs), explicit ACKs.
+  enum Queue : int { kCtrlQ, kRevNormalQ, kAckQ };
+
   /// `rev_port` is the reverse-direction egress port (receiver -> sender)
-  /// with three queues: ctrl_q (loss notifications + PFC, highest priority),
-  /// rev_normal_q (regular reverse traffic, gets piggybacked ACKs), and
-  /// ack_q (self-replenishing explicit ACKs, lowest priority).
+  /// and must have no queues yet; `normal` configures kRevNormalQ.
   LgReceiver(Simulator& sim, const LgConfig& cfg, net::EgressPort& rev_port,
-             int ctrl_q, int rev_normal_q, int ack_q);
+             net::EgressPort::QueueOpts normal);
 
   LgReceiver(const LgReceiver&) = delete;
   LgReceiver& operator=(const LgReceiver&) = delete;
@@ -91,22 +94,12 @@ class LgReceiver {
   /// PFC backpressure currently asserted toward the sender (Algorithm 2).
   bool backpressured() const { return bp_paused_; }
 
-  std::int64_t reorder_buffer_bytes() const { return buffer_bytes_; }
-  std::int64_t reorder_buffer_pkts() const { return static_cast<std::int64_t>(buffer_.size()); }
+  std::int64_t reorder_buffer_bytes() const { return buffer_.bytes(); }
 
   const Stats& stats() const { return stats_; }
   Stats& mutable_stats() { return stats_; }
 
  private:
-  struct Buffered {
-    net::Packet pkt;
-    SimTime entered_at = 0;
-    SimTime loop_phase = 0;  // where in the recirculation loop it sits
-  };
-
-  SeqEra to_wire(std::int64_t v) const;
-  std::int64_t resolve_virtual(SeqEra wire) const;
-
   void handle_protected(net::Packet&& p);
   void handle_dummy(const net::Packet& p);
   void detect_gap(std::int64_t from, std::int64_t to);
@@ -127,9 +120,6 @@ class LgReceiver {
   Simulator& sim_;
   const LgConfig& cfg_;
   net::EgressPort& rev_port_;
-  const int ctrl_q_;
-  const int rev_normal_q_;
-  const int ack_q_;
 
   ForwardFn forward_;
   bool enabled_ = false;
@@ -139,14 +129,12 @@ class LgReceiver {
   // All three are indexed by virtual seqNo.
   util::SeqRing<SimTime> outstanding_;        // missing seq -> detect time
   util::SeqRing<std::monostate> skipped_;     // timed-out holes ahead of ackNo
-  util::SeqRing<Buffered> buffer_;            // reordering buffer
-  std::int64_t buffer_bytes_ = 0;
+  RecircBuffer buffer_;                       // reordering buffer
   bool bp_paused_ = false;
   bool pfc_refresh_armed_ = false;
   int resume_repeats_ = 0;
   bool release_pending_ = false;
   SimTime last_release_ = -1;
-  Rng jitter_;
   Stats stats_;
   std::uint32_t trace_actor_ = 0;  // obs actor id, interned at construction
 };

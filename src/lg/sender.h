@@ -1,27 +1,21 @@
 // LinkGuardian sender-switch logic (§3, §3.4, §3.5, Appendix A.2).
 //
-// The sender owns the protected link's egress port with three strict-priority
-// queues: retransmissions (highest), normal traffic (PFC-pausable), and dummy
-// packets (lowest). Every protected packet is stamped with a 16-bit seqNo +
-// era bit and a copy is buffered. Buffering is modelled after the Tofino
-// implementation's recirculation loop: a buffered copy becomes *actionable*
-// only at its next recirculation-loop boundary, which reproduces both the
-// measured 2-6 us retransmission delay (Fig. 19) and the recirculation
-// overhead accounting (Table 4) without simulating each loop traversal as an
-// event.
+// The sender owns the protected link's egress port and gives it three
+// strict-priority queues: retransmissions (highest), normal traffic
+// (PFC-pausable), and dummy packets (lowest). Every protected packet is
+// stamped with a 16-bit seqNo + era bit and a copy is parked in the Tx
+// buffer, a RecircBuffer: a buffered copy becomes *actionable* only at its
+// next pass through the recirculation loop.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "lg/config.h"
+#include "lg/recirc.h"
 #include "lg/seqno.h"
 #include "net/packet.h"
 #include "net/port.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
-#include "util/ring.h"
 
 namespace lgsim::lg {
 
@@ -38,20 +32,23 @@ class LgSender {
     std::int64_t resumes_received = 0;
     std::int64_t dummies_armed = 0;        // dummy bursts triggered
     std::int64_t recirc_loops = 0;         // total loop traversals (Table 4)
-    std::int64_t recirc_loop_bytes = 0;
   };
 
-  /// `port` must already have the three queues created, identified by the
-  /// given indices with retx_q < normal_q < dummy_q in priority order.
+  /// The queues the sender adds to its port, in priority order.
+  enum Queue : int { kRetxQ, kNormalQ, kDummyQ };
+
+  /// `port` must have no queues yet; `normal` configures the normal queue.
   LgSender(Simulator& sim, const LgConfig& cfg, net::EgressPort& port,
-           int retx_q, int normal_q, int dummy_q);
+           net::EgressPort::QueueOpts normal);
 
   LgSender(const LgSender&) = delete;
   LgSender& operator=(const LgSender&) = delete;
 
   /// Activate protection (control plane, §3.6). Resets sequence state.
   void enable();
-  /// Deactivate; flushes the Tx buffer.
+  /// Deactivate; flushes the Tx buffer and lifts a PFC pause of the normal
+  /// queue. A disabled sender ignores all reverse control frames, PFC
+  /// included.
   void disable();
   bool enabled() const { return enabled_; }
 
@@ -65,41 +62,23 @@ class LgSender {
   void handle_reverse(const net::Packet& p);
 
   /// Current Tx buffer occupancy in frame bytes.
-  std::int64_t tx_buffer_bytes() const { return buffer_bytes_; }
+  std::int64_t tx_buffer_bytes() const { return buffer_.bytes(); }
   std::int64_t tx_buffer_pkts() const { return static_cast<std::int64_t>(buffer_.size()); }
 
   const Stats& stats() const { return stats_; }
-  Stats& mutable_stats() { return stats_; }
-
-  /// The virtual (64-bit) sequence number that will be assigned next.
-  std::int64_t next_virtual_seq() const { return next_v_; }
 
  private:
-  struct Buffered {
-    net::Packet copy;
-    SimTime enqueued_at = 0;
-    SimTime loop_phase = 0;  // position within the recirculation loop
-    bool retx_requested = false;
-  };
-
-  SeqEra to_wire(std::int64_t v) const;
-  std::int64_t resolve_virtual(SeqEra wire, std::int64_t reference) const;
-
   void on_transmit(net::Packet& p, int queue);
   void protect_at_egress(net::Packet& p);
   void arm_dummies();
   net::Packet make_dummy() const;
   void advance_latest_rx(std::int64_t v);
-  void schedule_loop_check(std::int64_t v, const Buffered& b);
+  void schedule_loop_check(std::int64_t v, const RecircBuffer::Entry& e);
   void run_loop_check(std::int64_t v);
-  void account_free(std::int64_t v, const Buffered& b);
 
   Simulator& sim_;
   const LgConfig& cfg_;
   net::EgressPort& port_;
-  const int retx_q_;
-  const int normal_q_;
-  const int dummy_q_;
 
   bool enabled_ = false;
   std::uint32_t enable_gen_ = 0;  // enable() count: tags scheduled loop checks
@@ -110,9 +89,7 @@ class LgSender {
   // are only ever added at next_v_ >= sched_lo_, so an ACK advance need only
   // walk up from here.
   std::int64_t sched_lo_ = 0;
-  util::SeqRing<Buffered> buffer_;  // Tx buffer, indexed by virtual seqNo
-  std::int64_t buffer_bytes_ = 0;
-  Rng jitter_;
+  RecircBuffer buffer_;  // Tx buffer, indexed by virtual seqNo
   Stats stats_;
   std::uint32_t trace_actor_ = 0;  // obs actor id, interned at construction
 };

@@ -6,6 +6,9 @@
 // different eras are compared after subtracting N/2 (N = 65536) from both,
 // which is correct as long as they are no more than N/2 apart — a property
 // the protocol maintains because the Tx window is tiny compared to N.
+//
+// Both endpoints count in 64-bit virtual seqNos and meet the wire only
+// through to_wire and from_wire, the one codec of the link.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +27,6 @@ struct SeqEra {
   }
 };
 
-/// Next sequence number; toggles the era on wrap-around.
-constexpr SeqEra seq_next(SeqEra s) {
-  if (s.seq == 0xFFFF) return {0, static_cast<std::uint8_t>(s.era ^ 1)};
-  return {static_cast<std::uint16_t>(s.seq + 1), s.era};
-}
-
 /// Signed distance a - b in era-corrected space. Valid when the true distance
 /// is within (-N/2, N/2). Implements the paper's era-correction rule: same
 /// era -> plain subtraction; different eras -> subtract N/2 from both
@@ -43,18 +40,24 @@ constexpr std::int32_t seq_distance(SeqEra a, SeqEra b) {
   return static_cast<std::int32_t>(a2) - static_cast<std::int32_t>(b2);
 }
 
-constexpr bool seq_less(SeqEra a, SeqEra b) { return seq_distance(a, b) < 0; }
-constexpr bool seq_leq(SeqEra a, SeqEra b) { return seq_distance(a, b) <= 0; }
-constexpr bool seq_greater(SeqEra a, SeqEra b) { return seq_distance(a, b) > 0; }
-
-/// Advance s by n (n < N/2).
-constexpr SeqEra seq_add(SeqEra s, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) s = seq_next(s);
-  return s;
-}
-
 /// The state both endpoints start from: "nothing received yet", whose
 /// successor is seq 0 of era 0.
 constexpr SeqEra seq_before_first() { return {0xFFFF, 1}; }
+
+/// The wire form of virtual (64-bit) seqNo v: its low 16 bits and the era
+/// bit, which toggles at every wrap.
+constexpr SeqEra to_wire(std::int64_t v) {
+  return SeqEra{static_cast<std::uint16_t>(v & 0xFFFF),
+                static_cast<std::uint8_t>((v >> 16) & 1)};
+}
+
+/// The virtual seqNo whose wire form is `wire`, taken as the one within N/2
+/// of `reference` (a virtual seqNo this endpoint already knows). A negative
+/// reference means nothing is known yet: `wire` is resolved near seq 0 of
+/// era 0.
+constexpr std::int64_t from_wire(SeqEra wire, std::int64_t reference) {
+  if (reference < 0) return seq_distance(wire, seq_before_first()) - 1;
+  return reference + seq_distance(wire, to_wire(reference));
+}
 
 }  // namespace lgsim::lg

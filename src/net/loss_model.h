@@ -64,9 +64,6 @@ class BernoulliLoss final : public DrivableLoss {
  public:
   BernoulliLoss(double rate, Rng rng) : rate_(rate), rng_(rng) {}
 
-  void set_rate(double rate) { rate_ = rate; }
-  double rate() const { return rate_; }
-
   void drive_rate(double rate) override { rate_ = rate; }
   double driven_rate() const override { return rate_; }
 

@@ -20,7 +20,7 @@ enum class PktKind : std::uint8_t {
   kTransportAck,     // TCP ACK / RDMA ACK/NACK
   kLgAck,            // explicit minimum-size LinkGuardian ACK (§3.1)
   kLgLossNotif,      // high-priority loss notification (§A.1)
-  kLgDummy,          // self-replenishing dummy packet (§3.2)
+  kLgDummy,          // tail-loss dummy packet, lowest-priority queue (§3.2)
   kPfcPause,         // priority flow control pause frame (§3.5)
   kPfcResume,        // priority flow control resume frame
   kTimer,            // switch packet-generator timer packet (§3.5)

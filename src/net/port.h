@@ -2,12 +2,10 @@
 //
 // This is the component LinkGuardian builds on. A port owns N FIFO queues in
 // strictly decreasing priority (index 0 highest). Each queue can be
-// byte-limited, PFC-paused independently, ECN-marking, and optionally
-// *self-replenishing*: after transmitting a packet from it, a generator
-// callback re-arms the queue with a fresh packet. The self-replenishing
-// queues implement the paper's dummy-packet and explicit-ACK queues (§3.1,
-// §3.2): strictly lowest priority, so they transmit exactly when every other
-// queue is empty, and they re-fill themselves via egress mirroring.
+// byte-limited, PFC-paused independently and ECN-marking. LinkGuardian's
+// dummy-packet and explicit-ACK queues (§3.1, §3.2) are plain queues of
+// strictly lowest priority, so they transmit exactly when every other queue
+// is empty; their owners re-arm them with enqueue.
 //
 // Frames leave the port after their serialization time at the port rate, then
 // experience the propagation delay, then an optional corruption loss roll
@@ -24,7 +22,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <functional>
 #include <string>
 #include <utility>
@@ -57,11 +54,11 @@ class EgressPort {
 
   /// Per-priority-queue accounting. Conservation invariant (asserted in
   /// net_test.cc): enq_frames == deq_frames + frames in the fifo, and
-  /// enq_bytes == deq_bytes + queued bytes — enqueues (including replenish
-  /// re-arms) either dequeue toward the wire or are still in flight; tail
-  /// drops are counted separately and never consume queue state.
+  /// enq_bytes == deq_bytes + queued bytes — enqueues either dequeue toward
+  /// the wire or are still queued; tail drops are counted separately and
+  /// never consume queue state.
   struct QueueCounters {
-    std::int64_t enq_frames = 0;    // accepted into the fifo (incl. replenish)
+    std::int64_t enq_frames = 0;    // accepted into the fifo
     std::int64_t enq_bytes = 0;     // frame bytes accepted
     std::int64_t drop_frames = 0;   // tail drops from byte limit
     std::int64_t drop_bytes = 0;
@@ -85,7 +82,6 @@ class EgressPort {
     util::RingQueue<Packet*> fifo;  // slots of pool_, oldest first
     std::int64_t bytes = 0;
     bool paused = false;
-    std::function<std::optional<Packet>()> replenish;
     QueueCounters counters;
   };
 
@@ -111,13 +107,6 @@ class EgressPort {
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void set_loss_model(LossModel* model) { loss_ = model; }
   void set_transmit_hook(TransmitHook hook) { on_transmit_ = std::move(hook); }
-
-  /// Self-replenishing queue: after each transmit from `q`, `gen` may produce
-  /// the replacement packet placed back into the same queue (return nullopt
-  /// to stop replenishing until the owner re-arms the queue).
-  void set_replenish(int q, std::function<std::optional<Packet>()> gen) {
-    queues_.at(q).replenish = std::move(gen);
-  }
 
   /// Enqueue into queue `q`. Returns false (and counts a drop) on overflow.
   bool enqueue(int q, Packet&& p) {
@@ -150,20 +139,10 @@ class EgressPort {
   /// (queued, serializing or propagating). A tail drop takes no slot.
   std::size_t pool_capacity() const { return pool_.capacity(); }
 
-  std::int64_t total_queued_bytes() const {
-    std::int64_t s = 0;
-    for (const auto& q : queues_) s += q.bytes;
-    return s;
-  }
-
-  BitRate rate() const { return rate_; }
-  SimTime prop_delay() const { return prop_delay_; }
   const std::string& name() const { return name_; }
-  bool transmitting() const { return busy_; }
 
   const QueueCounters& queue_counters(int q) const { return queues_.at(q).counters; }
   const PortCounters& counters() const { return counters_; }
-  int num_queues() const { return static_cast<int>(queues_.size()); }
 
   /// Pushes the port- and per-queue counters into a metrics registry under
   /// `port.<name>` / `port.<name>.q<i>`.
@@ -260,18 +239,6 @@ class EgressPort {
     q.counters.tx_bytes += p.wire_bytes();
     ++counters_.tx_frames;
     counters_.tx_wire_bytes += p.wire_bytes();
-
-    // Re-arm a self-replenishing queue immediately (egress mirroring): the
-    // fresh packet becomes eligible the next time the link goes idle. The
-    // fresh packet is a real enqueue for conservation purposes.
-    if (q.replenish) {
-      if (std::optional<Packet> fresh = q.replenish()) {
-        q.bytes += fresh->frame_bytes;
-        ++q.counters.enq_frames;
-        q.counters.enq_bytes += fresh->frame_bytes;
-        q.fifo.push_back(pool_.acquire(std::move(*fresh)));
-      }
-    }
 
     // The frame stays in its slot for the serialization + propagation chain;
     // the kernel closures capture only {this, slot} and stay inside

@@ -110,8 +110,6 @@ class OnePlusOnePath {
 
   const OnePlusOneCounters& counters() const { return counters_; }
   const SeqDedup& dedup() const { return dedup_; }
-  net::EgressPort& path_a() { return path_a_; }
-  net::EgressPort& path_b() { return path_b_; }
 
  private:
   void on_merge_arrival(net::Packet&& p);

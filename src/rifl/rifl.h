@@ -99,7 +99,6 @@ class RiflLink {
 
   /// Install the wire's raw corruption process (owned by the link).
   void set_loss_model(std::unique_ptr<net::LossModel> m);
-  net::LossModel* loss_model() { return loss_.get(); }
 
   /// Offer a frame for reliable transfer. Frames are delivered to the sink
   /// exactly once and in offer order (unless given up after max_tx).

@@ -103,8 +103,6 @@ class TestbedPath {
   void send_from_b(net::Packet&& p) { nic_b_.enqueue(nic_b_q_, std::move(p)); }
 
   lg::ProtectedLink& link() { return link_; }
-  net::EgressPort& nic_a() { return nic_a_; }
-  net::EgressPort& nic_b() { return nic_b_; }
 
  private:
   Simulator& sim_;

@@ -93,8 +93,6 @@ class ArrivalProcess {
     return std::exp(lognormal_mu_ + spec_.lognormal_sigma * z);
   }
 
-  double mean_gap_sec() const { return mean_gap_sec_; }
-
  private:
   ArrivalSpec spec_;
   Rng rng_;

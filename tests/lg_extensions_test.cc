@@ -179,6 +179,47 @@ TEST(LiveModeSwitch, HandoffResumeSurvivesReverseCorruption) {
   EXPECT_FALSE(h.link->forward_port().queue_paused(h.link->normal_queue()));
 }
 
+TEST(LiveModeSwitch, DisableUnderBackpressureLeavesNormalQueueRunning) {
+  // disable_lg() under backpressure lifts the sender's pause locally and
+  // sends one resume. A pause frame still on the reverse fiber or in the
+  // ctrl queue arrives after that; once disabled, the receiver no longer
+  // refreshes the PFC state, so if the sender honoured that pause and the
+  // resume were corrupted, nothing would ever resume the normal queue.
+  // Sweep the cut across the first pause's flight, corrupting every resume
+  // for 2 us after it.
+  for (SimTime offset = 0; offset <= nsec(1200); offset += nsec(25)) {
+    BidirHarness h;
+    h.make(/*fwd=*/1e-3, /*rev=*/0.0);
+    auto blackout = std::make_unique<ResumeBlackout>();
+    ResumeBlackout* rev = blackout.get();
+    h.link->set_reverse_loss_model(std::move(blackout));
+    const int n = 50'000;
+    h.inject(n);
+    bool cut = false;
+    std::function<void()> poll = [&] {
+      if (h.link->receiver().backpressured()) {
+        h.sim.schedule_in(offset, [&] {
+          rev->from = h.sim.now();
+          rev->until = h.sim.now() + usec(2);
+          h.link->disable_lg();
+          cut = true;
+        });
+        return;
+      }
+      h.sim.schedule_in(lg::kTimerPeriod, [&] { poll(); });
+    };
+    h.sim.schedule_in(lg::kTimerPeriod, [&] { poll(); });
+    h.sim.run();
+
+    ASSERT_TRUE(cut) << "offset " << offset;
+    const net::EgressPort& fwd = h.link->forward_port();
+    EXPECT_FALSE(fwd.queue_paused(h.link->normal_queue())) << "offset " << offset;
+    EXPECT_EQ(fwd.queue_frames(h.link->normal_queue()), 0u) << "offset " << offset;
+    EXPECT_EQ(fwd.queue_counters(h.link->normal_queue()).tx_frames, n)
+        << "offset " << offset;
+  }
+}
+
 TEST(LiveModeSwitch, RedundantFlipIsANoOp) {
   BidirHarness h;
   h.make(1e-3, 0.0);

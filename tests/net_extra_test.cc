@@ -121,7 +121,7 @@ TEST(MidRunMutation, BernoulliSetRateAppliesToTheNextFrameOnTheWire) {
     });
   }
   // Flip from lossless to certain loss between frames 10 and 11.
-  sim.schedule_at(usec(10) + nsec(500), [&] { loss.set_rate(1.0); });
+  sim.schedule_at(usec(10) + nsec(500), [&] { loss.drive_rate(1.0); });
   sim.run();
 
   EXPECT_EQ(delivered, 11);

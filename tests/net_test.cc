@@ -147,27 +147,6 @@ TEST(EgressPort, QueueCountersConserve) {
   EXPECT_EQ(m.counter("port.p.delivered_frames"), 2);
 }
 
-TEST(EgressPort, ReplenishCountsAsEnqueueForConservation) {
-  Simulator sim;
-  EgressPort port(sim, "p", gbps(100), 0);
-  const int fill = port.add_queue();
-  int generated = 0;
-  port.set_replenish(fill, [&]() -> std::optional<Packet> {
-    if (generated >= 3) return std::nullopt;
-    ++generated;
-    return make_control(PktKind::kLgDummy);
-  });
-  Collector sink;
-  port.set_deliver(sink.fn(sim));
-  port.enqueue(fill, make_control(PktKind::kLgDummy));
-  sim.run();
-  const EgressPort::QueueCounters& c = port.queue_counters(fill);
-  EXPECT_EQ(c.enq_frames, 4);  // 1 seeded + 3 self-replenished
-  EXPECT_EQ(c.enq_frames,
-            c.deq_frames + static_cast<std::int64_t>(port.queue_frames(fill)));
-  EXPECT_EQ(c.enq_bytes, c.deq_bytes + port.queue_bytes(fill));
-}
-
 TEST(EgressPort, PauseHoldsQueueAndResumeReleases) {
   Simulator sim;
   EgressPort port(sim, "p", gbps(10), 0);
@@ -205,27 +184,6 @@ TEST(EgressPort, EcnMarksAboveThreshold) {
   EXPECT_EQ(port.queue_counters(q).ecn_marked, 1);
 }
 
-TEST(EgressPort, ReplenishKeepsQueueFedUntilGeneratorDeclines) {
-  Simulator sim;
-  EgressPort port(sim, "p", gbps(100), 0);
-  const int normal = port.add_queue();
-  const int fill = port.add_queue();
-  int generated = 0;
-  port.set_replenish(fill, [&]() -> std::optional<Packet> {
-    if (generated >= 3) return std::nullopt;
-    ++generated;
-    return make_control(PktKind::kLgDummy);
-  });
-  Collector sink;
-  port.set_deliver(sink.fn(sim));
-  port.enqueue(fill, make_control(PktKind::kLgDummy));
-  sim.run();
-  // 1 seed + 3 generated.
-  EXPECT_EQ(sink.pkts.size(), 4u);
-  EXPECT_EQ(port.queue_frames(fill), 0u);
-  (void)normal;
-}
-
 TEST(EgressPort, TransmitHookCanMutate) {
   Simulator sim;
   EgressPort port(sim, "p", gbps(100), 0);
@@ -240,10 +198,11 @@ TEST(EgressPort, TransmitHookCanMutate) {
 }
 
 // Frames live in the port's pool slots from enqueue to delivery. One port
-// with a byte-limited queue, a paused queue and a replenishing queue, and a
-// transmit hook that stamps each frame in its slot: every delivered frame
-// carries its stamp, each queue stays FIFO, the conservation counters hold,
-// and a tail drop takes no slot.
+// with a byte-limited queue, a paused queue and a queue the transmit hook
+// re-arms by enqueue (as LinkGuardian re-arms its dummy queue), and a hook
+// that stamps each frame in its slot: every delivered frame carries its
+// stamp, each queue stays FIFO, the conservation counters hold, and a tail
+// drop takes no slot.
 TEST(EgressPort, QueuedFramesLiveInPoolSlotsUntilDelivery) {
   Simulator sim;
   EgressPort port(sim, "p", gbps(10), nsec(100));
@@ -251,16 +210,15 @@ TEST(EgressPort, QueuedFramesLiveInPoolSlotsUntilDelivery) {
   const int paused = port.add_queue();
   const int fill = port.add_queue();
   std::uint16_t stamps = 0;
-  port.set_transmit_hook([&](Packet& p, int) {
+  std::uint64_t next_fill = 21;
+  port.set_transmit_hook([&](Packet& p, int q) {
     p.lg_ack.valid = true;
     p.lg_ack.latest_rx_seq = stamps++;  // transmission order
-  });
-  std::uint64_t next_fill = 21;
-  port.set_replenish(fill, [&]() -> std::optional<Packet> {
-    if (next_fill > 24) return std::nullopt;
-    Packet p = make_control(PktKind::kLgDummy);
-    p.uid = next_fill++;
-    return p;
+    if (q == fill && next_fill <= 24) {
+      Packet d = make_control(PktKind::kLgDummy);
+      d.uid = next_fill++;
+      port.enqueue(fill, std::move(d));
+    }
   });
   Collector sink;
   port.set_deliver(sink.fn(sim));
